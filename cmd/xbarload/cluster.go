@@ -47,6 +47,13 @@ type clusterMember struct {
 	node   *cluster.Node
 	srv    *http.Server
 	cancel context.CancelFunc // stops node.Run's heartbeat loop
+
+	// serving is held shared by every running HTTP handler. kill takes
+	// it exclusively after closing the server, so no handler still
+	// running on a dropped connection can submit to the engine while
+	// it closes; dead turns away any handler that starts later.
+	serving sync.RWMutex
+	dead    bool
 }
 
 // clusterHarness owns the N-node in-process cluster and the kill/
@@ -138,12 +145,21 @@ func (ch *clusterHarness) startMember(i int, id string, ln net.Listener) error {
 		return err
 	}
 	eng.SetPeerFill(node.PeerFill)
-	srv := &http.Server{Handler: httpapi.New(eng, httpapi.WithCluster(node))}
 	runCtx, cancel := context.WithCancel(context.Background())
+	m := &clusterMember{id: id, eng: eng, node: node, cancel: cancel}
+	api := httpapi.New(eng, httpapi.WithCluster(node))
+	m.srv = &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		m.serving.RLock()
+		defer m.serving.RUnlock()
+		if m.dead {
+			panic(http.ErrAbortHandler) // killed: drop the connection
+		}
+		api.ServeHTTP(w, r)
+	})}
 	go node.Run(runCtx)
-	go srv.Serve(ln)
+	go m.srv.Serve(ln)
 	ch.mu.Lock()
-	ch.members[id] = &clusterMember{id: id, eng: eng, node: node, srv: srv, cancel: cancel}
+	ch.members[id] = m
 	ch.mu.Unlock()
 	return nil
 }
@@ -163,6 +179,9 @@ func (ch *clusterHarness) kill(id string) {
 	}
 	m.cancel()
 	m.srv.Close()
+	m.serving.Lock()
+	m.dead = true
+	m.serving.Unlock()
 	m.eng.Close()
 }
 

@@ -16,9 +16,6 @@
 //
 //	POST /v2/jobs        any request kinds — NDJSON stream, results
 //	                     flushed as workers finish; structured errors
-//	POST /v1/synthesize  one synthesize or compare request
-//	POST /v1/map         one per-chip map or yield-sweep request
-//	POST /v1/batch       {"requests": [...]} — fan-out, results in order
 //	GET  /healthz        liveness probe + uptime/build + cache summary
 //	GET  /stats          engine counters (cache hits/misses, workers, ...)
 //	GET  /metrics        Prometheus text exposition (latency histograms,
@@ -32,7 +29,7 @@
 //
 // Every request gets a request ID — honored from the client's
 // X-Request-ID header or minted at ingress — echoed on the response,
-// stamped on v2 stream frames, and attached to every log line. Access
+// stamped on every stream frame, and attached to every log line. Access
 // logs are structured (log/slog); -log-level debug additionally logs
 // each engine request with its stage outcome.
 //

@@ -30,6 +30,7 @@ import (
 	"nanoxbar/internal/core"
 	"nanoxbar/internal/engine"
 	"nanoxbar/internal/resilience"
+	"nanoxbar/pkg/nanoxbar/client"
 )
 
 // ForwardedHeader marks a synthesis request that already crossed one
@@ -101,12 +102,27 @@ type Config struct {
 
 // peerState is one remote member plus its per-endpoint breakers. Fill
 // and forward trip independently: a peer whose cache lookups time out
-// may still proxy full syntheses fine, and vice versa.
+// may still proxy full syntheses fine, and vice versa. api is the SDK
+// client forwards travel through.
 type peerState struct {
 	id      string
 	url     string
+	api     *client.Client
 	fill    *resilience.Breaker
 	forward *resilience.Breaker
+}
+
+// forwardMarker stamps ForwardedHeader on every request a node forwards,
+// so the receiving node serves it locally instead of forwarding again.
+type forwardMarker struct {
+	next http.RoundTripper
+	from string
+}
+
+func (m forwardMarker) RoundTrip(req *http.Request) (*http.Response, error) {
+	req = req.Clone(req.Context())
+	req.Header.Set(ForwardedHeader, m.from)
+	return m.next.RoundTrip(req)
 }
 
 // Node is one cluster member: failure detector + hash ring + peer
@@ -201,6 +217,14 @@ func New(eng *engine.Engine, cfg Config) (*Node, error) {
 	n.det = newDetector(cfg.Clock, cfg.SuspectAfter, cfg.DeadAfter, func(id string, from, to State) {
 		n.logger.Info("cluster member transition", "peer", id, "from", from.String(), "to", to.String())
 	})
+	// Forwards share the node's HTTP client (and so its transport,
+	// chaos-injected or not), with the loop marker stamped on.
+	next := cfg.HTTPClient.Transport
+	if next == nil {
+		next = http.DefaultTransport
+	}
+	fwd := *cfg.HTTPClient
+	fwd.Transport = forwardMarker{next: next, from: n.id}
 	for id, url := range cfg.Peers {
 		if id == n.id || id == "" || url == "" {
 			continue
@@ -208,6 +232,7 @@ func New(eng *engine.Engine, cfg Config) (*Node, error) {
 		n.peers[id] = &peerState{
 			id:      id,
 			url:     url,
+			api:     client.New(url, client.WithHTTPClient(&fwd)),
 			fill:    resilience.NewBreaker(cfg.Breaker, cfg.Clock, nil),
 			forward: resilience.NewBreaker(cfg.Breaker, cfg.Clock, nil),
 		}

@@ -17,6 +17,7 @@ import (
 	"nanoxbar/internal/cluster"
 	"nanoxbar/internal/engine"
 	"nanoxbar/internal/httpapi"
+	"nanoxbar/pkg/nanoxbar"
 )
 
 // swapHandler lets the httptest server start (fixing its URL) before
@@ -104,22 +105,81 @@ func requestOwnedBy(t *testing.T, eng *engine.Engine, members []string, owner st
 	return engine.Request{}, ""
 }
 
-func postSynthesize(t *testing.T, url string, req engine.Request) (*http.Response, engine.Result) {
+// submitBatch runs reqs through the engine's Submit and returns their
+// results in submission order.
+func submitBatch(ctx context.Context, eng *engine.Engine, reqs []engine.Request) []engine.Result {
+	results := make([]engine.Result, len(reqs))
+	eng.Submit(ctx, reqs, func(i int, r engine.Result) { results[i] = r }, nil)
+	return results
+}
+
+// postSynthesize runs req through url's POST /v2/jobs, with id (when
+// set) as X-Request-ID, and returns the HTTP response and the request's
+// outcome (an error event becomes a Result carrying its message and
+// code).
+func postSynthesize(t *testing.T, url string, req engine.Request, id string) (*http.Response, engine.Result) {
 	t.Helper()
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(nanoxbar.JobsRequest{Requests: []engine.Request{req}})
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	resp, err := http.Post(url+"/v1/synthesize", "application/json", bytes.NewReader(body))
+	hreq, err := http.NewRequest(http.MethodPost, url+"/v2/jobs", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /v1/synthesize: %v", err)
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	if id != "" {
+		hreq.Header.Set("X-Request-ID", id)
+	}
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatalf("POST /v2/jobs: %v", err)
 	}
 	defer resp.Body.Close()
 	var res engine.Result
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatalf("decode result: %v", err)
+	dec := json.NewDecoder(resp.Body)
+	for dec.More() {
+		var ev nanoxbar.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("decode event: %v", err)
+		}
+		switch ev.Type {
+		case nanoxbar.EventResult:
+			res = *ev.Result
+		case nanoxbar.EventError:
+			res = engine.Result{Kind: req.Kind, Error: ev.Error.Message, Code: ev.Error.Code}
+		}
 	}
 	return resp, res
+}
+
+// stubOwner answers POST /v2/jobs with the given status and, on 200,
+// the NDJSON frames (a done frame is appended); record, when non-nil,
+// sees every request it receives.
+func stubOwner(status int, frames []nanoxbar.Event, record func(*http.Request)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v2/jobs" {
+			http.NotFound(w, r)
+			return
+		}
+		if record != nil {
+			record(r)
+		}
+		if status != http.StatusOK {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(status)
+			json.NewEncoder(w).Encode(nanoxbar.ErrorResponse{Error: nanoxbar.WireError{
+				Code: "overloaded", Message: "stub owner shedding",
+			}})
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		enc := json.NewEncoder(w)
+		for _, ev := range frames {
+			enc.Encode(ev)
+		}
+		enc.Encode(nanoxbar.Event{Type: nanoxbar.EventDone, Done: &nanoxbar.JobsSummary{Results: 1}})
+	})
 }
 
 // TestPeerFillHit: a cold node whose key is owned by a warm sibling
@@ -128,12 +188,12 @@ func TestPeerFillHit(t *testing.T) {
 	nodes := startCluster(t, []string{"a", "b"}, nil)
 	req, _ := requestOwnedBy(t, nodes["a"].eng, []string{"a", "b"}, "b")
 
-	if res := nodes["b"].eng.Do(req); !res.Ok() {
+	if res := nodes["b"].eng.Do(context.Background(), req, nil); !res.Ok() {
 		t.Fatalf("warm b: %v", res.Error)
 	}
 	synthB := nodes["b"].eng.Stats().SynthCalls
 
-	if res := nodes["a"].eng.Do(req); !res.Ok() {
+	if res := nodes["a"].eng.Do(context.Background(), req, nil); !res.Ok() {
 		t.Fatalf("a.Do: %v", res.Error)
 	}
 	st := nodes["a"].node.Status()
@@ -148,7 +208,7 @@ func TestPeerFillHit(t *testing.T) {
 	}
 	// The filled entry is cached: a second local call is a plain hit,
 	// no second fill round-trip.
-	nodes["a"].eng.Do(req)
+	nodes["a"].eng.Do(context.Background(), req, nil)
 	if st := nodes["a"].node.Status(); st.PeerFillHits != 1 {
 		t.Fatalf("second call re-filled: hits = %d", st.PeerFillHits)
 	}
@@ -161,7 +221,7 @@ func TestPeerFillMiss(t *testing.T) {
 	nodes := startCluster(t, []string{"a", "b"}, nil)
 	req, _ := requestOwnedBy(t, nodes["a"].eng, []string{"a", "b"}, "b")
 
-	if res := nodes["a"].eng.Do(req); !res.Ok() {
+	if res := nodes["a"].eng.Do(context.Background(), req, nil); !res.Ok() {
 		t.Fatalf("a.Do: %v", res.Error)
 	}
 	st := nodes["a"].node.Status()
@@ -179,7 +239,7 @@ func TestForwardToOwner(t *testing.T) {
 	nodes := startCluster(t, []string{"a", "b"}, nil)
 	req, _ := requestOwnedBy(t, nodes["a"].eng, []string{"a", "b"}, "b")
 
-	resp, res := postSynthesize(t, nodes["a"].srv.URL, req)
+	resp, res := postSynthesize(t, nodes["a"].srv.URL, req, "")
 	if resp.StatusCode != http.StatusOK || !res.Ok() || res.Synthesis == nil {
 		t.Fatalf("forwarded request: HTTP %d, err %q", resp.StatusCode, res.Error)
 	}
@@ -203,7 +263,7 @@ func TestForwardFailover(t *testing.T) {
 
 	nodes["b"].srv.Close() // abrupt kill; a's detector still believes b alive
 
-	resp, res := postSynthesize(t, nodes["a"].srv.URL, req)
+	resp, res := postSynthesize(t, nodes["a"].srv.URL, req, "")
 	if resp.StatusCode != http.StatusOK || !res.Ok() {
 		t.Fatalf("failover request: HTTP %d, err %q", resp.StatusCode, res.Error)
 	}
@@ -228,7 +288,7 @@ func TestLocalDegrade(t *testing.T) {
 
 	nodes["b"].srv.Close()
 
-	resp, res := postSynthesize(t, nodes["a"].srv.URL, req)
+	resp, res := postSynthesize(t, nodes["a"].srv.URL, req, "")
 	if resp.StatusCode != http.StatusOK || !res.Ok() || res.Synthesis == nil {
 		t.Fatalf("degraded request: HTTP %d, err %q", resp.StatusCode, res.Error)
 	}
@@ -242,27 +302,20 @@ func TestLocalDegrade(t *testing.T) {
 	}
 }
 
-// TestForwardDomainErrorPassesThrough: a 422 from the owner is the
-// answer, not a failure — it must come back typed with the owner's
-// code, without tripping the failover ladder.
+// TestForwardDomainErrorPassesThrough: a domain error event from the
+// owner is the answer, not a failure — it must come back typed with the
+// owner's code, without tripping the failover ladder.
 func TestForwardDomainErrorPassesThrough(t *testing.T) {
-	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/synthesize" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusUnprocessableEntity)
-		json.NewEncoder(w).Encode(map[string]string{
-			"error": "core: no feasible implementation", "code": "infeasible",
-		})
-	})
+	stub := stubOwner(http.StatusOK, []nanoxbar.Event{{
+		Type:  nanoxbar.EventError,
+		Error: &nanoxbar.WireError{Code: "infeasible", Message: "core: no feasible implementation"},
+	}}, nil)
 	nodes := startCluster(t, []string{"a", "z"}, map[string]http.Handler{"z": stub})
 	req, _ := requestOwnedBy(t, nodes["a"].eng, []string{"a", "z"}, "z")
 
-	resp, res := postSynthesize(t, nodes["a"].srv.URL, req)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status = %d, want 422", resp.StatusCode)
+	resp, res := postSynthesize(t, nodes["a"].srv.URL, req, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
 	if res.Code != "infeasible" {
 		t.Fatalf("code = %q, want infeasible", res.Code)
@@ -274,6 +327,97 @@ func TestForwardDomainErrorPassesThrough(t *testing.T) {
 	}
 	if got := nodes["a"].eng.Stats().SynthCalls; got != 0 {
 		t.Fatalf("domain error retried locally: SynthCalls = %d", got)
+	}
+}
+
+// shedOwners are the ways an owner can refuse a forward for load:
+// an overloaded error event inside a 200 stream, or a 429/503 answer.
+var shedOwners = map[string]http.Handler{
+	"overloaded event": stubOwner(http.StatusOK, []nanoxbar.Event{{
+		Type:  nanoxbar.EventError,
+		Error: &nanoxbar.WireError{Code: "overloaded", Message: "engine: job queue saturated"},
+	}}, nil),
+	"429": stubOwner(http.StatusTooManyRequests, nil, nil),
+	"503": stubOwner(http.StatusServiceUnavailable, nil, nil),
+}
+
+// TestForwardShedFailsOver: an owner that sheds the forward is a
+// forward failure — the ladder fails over to the fallback replica,
+// which answers; the client never sees the overload.
+func TestForwardShedFailsOver(t *testing.T) {
+	for name, stub := range shedOwners {
+		t.Run(name, func(t *testing.T) {
+			nodes := startCluster(t, []string{"a", "z", "c"}, map[string]http.Handler{"z": stub})
+			req, _ := requestOwnedBy(t, nodes["a"].eng, []string{"a", "z", "c"}, "z")
+
+			resp, res := postSynthesize(t, nodes["a"].srv.URL, req, "")
+			if resp.StatusCode != http.StatusOK || !res.Ok() || res.Synthesis == nil {
+				t.Fatalf("shed owner: HTTP %d, result %+v", resp.StatusCode, res)
+			}
+			st := nodes["a"].node.Status()
+			if st.Forwards != 1 || st.Failovers != 1 || st.LocalDegrades != 0 {
+				t.Fatalf("forwards/failovers/degrades = %d/%d/%d, want 1/1/0",
+					st.Forwards, st.Failovers, st.LocalDegrades)
+			}
+			if got := nodes["c"].eng.Stats().SynthCalls; got != 1 {
+				t.Fatalf("fallback c SynthCalls = %d, want 1", got)
+			}
+		})
+	}
+}
+
+// TestForwardShedDegradesLocally: with the shedding owner the only
+// remote target, the node serves the request itself — a counted local
+// degrade, never a client-visible overload.
+func TestForwardShedDegradesLocally(t *testing.T) {
+	for name, stub := range shedOwners {
+		t.Run(name, func(t *testing.T) {
+			nodes := startCluster(t, []string{"a", "z"}, map[string]http.Handler{"z": stub})
+			req, _ := requestOwnedBy(t, nodes["a"].eng, []string{"a", "z"}, "z")
+
+			resp, res := postSynthesize(t, nodes["a"].srv.URL, req, "")
+			if resp.StatusCode != http.StatusOK || !res.Ok() || res.Synthesis == nil {
+				t.Fatalf("shed owner: HTTP %d, result %+v", resp.StatusCode, res)
+			}
+			st := nodes["a"].node.Status()
+			if st.Forwards != 0 || st.LocalDegrades != 1 {
+				t.Fatalf("forwards/degrades = %d/%d, want 0/1", st.Forwards, st.LocalDegrades)
+			}
+			if got := nodes["a"].eng.Stats().SynthCalls; got != 1 {
+				t.Fatalf("a SynthCalls = %d, want 1 (local degrade)", got)
+			}
+		})
+	}
+}
+
+// TestForwardKeepsRequestID: the owner receives the origin's request
+// ID and the forwarded marker, so one ID finds both nodes' log lines.
+func TestForwardKeepsRequestID(t *testing.T) {
+	const id = "forward-trace-9"
+	var mu sync.Mutex
+	var gotID, gotFrom string
+	stub := stubOwner(http.StatusOK, []nanoxbar.Event{{
+		Type:   nanoxbar.EventResult,
+		Result: &engine.Result{Kind: engine.KindSynthesize, Synthesis: &engine.SynthesisResult{Tech: "four-terminal", Area: 4}},
+	}}, func(r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		gotID, gotFrom = r.Header.Get("X-Request-ID"), r.Header.Get(cluster.ForwardedHeader)
+	})
+	nodes := startCluster(t, []string{"a", "z"}, map[string]http.Handler{"z": stub})
+	req, _ := requestOwnedBy(t, nodes["a"].eng, []string{"a", "z"}, "z")
+
+	resp, res := postSynthesize(t, nodes["a"].srv.URL, req, id)
+	if resp.StatusCode != http.StatusOK || res.Synthesis == nil || res.Synthesis.Area != 4 {
+		t.Fatalf("forwarded request: HTTP %d, result %+v", resp.StatusCode, res)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if gotID != id {
+		t.Fatalf("owner saw X-Request-ID %q, want %q", gotID, id)
+	}
+	if gotFrom != "a" {
+		t.Fatalf("owner saw %s %q, want %q", cluster.ForwardedHeader, gotFrom, "a")
 	}
 }
 
@@ -309,7 +453,7 @@ func TestWarmStartFromPeer(t *testing.T) {
 		reqs[i] = engine.Request{Kind: engine.KindSynthesize,
 			Function: engine.FunctionSpec{TT: fmt.Sprintf("3:0x%02x", i+1)}}
 	}
-	for i, res := range nodes["a"].eng.SubmitBatch(reqs) {
+	for i, res := range submitBatch(context.Background(), nodes["a"].eng, reqs) {
 		if !res.Ok() {
 			t.Fatalf("warm a req %d: %v", i, res.Error)
 		}
@@ -327,7 +471,7 @@ func TestWarmStartFromPeer(t *testing.T) {
 		t.Fatalf("WarmStart = %d entries from %q, want %d from a", n, from, wantEntries)
 	}
 
-	for i, res := range nodes["b"].eng.SubmitBatch(reqs) {
+	for i, res := range submitBatch(context.Background(), nodes["b"].eng, reqs) {
 		if !res.Ok() {
 			t.Fatalf("replay req %d on b: %v", i, res.Error)
 		}

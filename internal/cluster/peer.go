@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +13,7 @@ import (
 	"nanoxbar/internal/core"
 	"nanoxbar/internal/engine"
 	"nanoxbar/internal/resilience"
+	"nanoxbar/pkg/nanoxbar"
 )
 
 // errFillMiss marks a clean 204 from a peer: the peer is healthy, it
@@ -147,20 +146,13 @@ func (n *Node) RouteSynthesize(ctx context.Context, req engine.Request) (res eng
 	return engine.Result{}, false
 }
 
-// v1ErrorBody is the flat v1 error shape the remote node writes on
-// failed results.
-type v1ErrorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
-
 // forwardTo proxies req to one peer, guarded by its forward breaker.
-// A 200 or a typed *domain* failure (bad_spec, infeasible, canceled)
+// A result or a typed *domain* failure (bad_spec, infeasible, canceled)
 // is a successful forward — the owner gave the same answer local
-// serving would. Overload, unavailability, and transport errors are
-// forward failures: the ladder moves on, and local synthesis is the
-// backstop, so an overloaded owner never turns into a client-visible
-// overload here.
+// serving would. Overload, unavailability, transport errors and a
+// stream that carries no answer are forward failures: the ladder moves
+// on, and local synthesis is the backstop, so an overloaded owner never
+// turns into a client-visible overload here.
 func (n *Node) forwardTo(ctx context.Context, p *peerState, req engine.Request) (engine.Result, error) {
 	if err := p.forward.Allow(); err != nil {
 		return engine.Result{}, err
@@ -170,46 +162,37 @@ func (n *Node) forwardTo(ctx context.Context, p *peerState, req engine.Request) 
 	return res, err
 }
 
+// forwardOnce posts req to the peer's /v2/jobs as a one-request job
+// and reads the answer off the event stream through the SDK client.
+// The request context's request ID travels along as X-Request-ID, so
+// one ID finds the log lines on both nodes.
 func (n *Node) forwardOnce(ctx context.Context, p *peerState, req engine.Request) (engine.Result, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, p.url+"/v1/synthesize", bytes.NewReader(body))
-	if err != nil {
-		return engine.Result{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set(ForwardedHeader, n.id)
-	resp, err := n.hc.Do(hreq)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxFillBody))
-		resp.Body.Close()
-	}()
+	var res engine.Result
+	var answered bool
+	var shed error
+	err := p.api.Jobs(ctx, nanoxbar.JobsRequest{Requests: []nanoxbar.Request{req}}, func(ev nanoxbar.Event) {
+		switch ev.Type {
+		case nanoxbar.EventResult:
+			res, answered = *ev.Result, true
+		case nanoxbar.EventError:
+			ferr := ev.Error.Err()
+			if errors.Is(ferr, apierr.ErrOverloaded) || errors.Is(ferr, apierr.ErrUnavailable) {
+				shed = ferr
+				return
+			}
+			res = engine.Result{Kind: req.Kind, Error: ev.Error.Message, Code: ev.Error.Code, Err: ferr}
+			answered = true
+		}
+	})
 	switch {
-	case resp.StatusCode == http.StatusOK:
-		var res engine.Result
-		if err := json.NewDecoder(io.LimitReader(resp.Body, maxFillBody)).Decode(&res); err != nil {
-			return engine.Result{}, fmt.Errorf("cluster: peer %s forward: %w", p.id, err)
-		}
-		return res, nil
-	case resp.StatusCode == http.StatusUnprocessableEntity:
-		// Typed domain failure: pass it through as the request's result.
-		var eb v1ErrorBody
-		if err := json.NewDecoder(io.LimitReader(resp.Body, maxFillBody)).Decode(&eb); err != nil || eb.Code == "" {
-			return engine.Result{}, fmt.Errorf("cluster: peer %s forward: undecodable 422", p.id)
-		}
-		ferr := apierr.FromCode(eb.Code, eb.Error)
-		return engine.Result{Kind: req.Kind, Error: eb.Error, Code: eb.Code, Err: ferr}, nil
-	default:
-		// Overloaded/draining/unknown peer: a forward failure, not a
-		// client-visible error — the ladder falls over to the replica
-		// and then to local synthesis.
-		return engine.Result{}, fmt.Errorf("cluster: peer %s forward: HTTP %d", p.id, resp.StatusCode)
+	case err != nil:
+		return engine.Result{}, fmt.Errorf("cluster: peer %s forward: %w", p.id, err)
+	case shed != nil:
+		return engine.Result{}, fmt.Errorf("cluster: peer %s forward: %w", p.id, shed)
+	case !answered:
+		return engine.Result{}, fmt.Errorf("cluster: peer %s forward: stream carried no result", p.id)
 	}
+	return res, nil
 }
 
 // WarmStart bootstraps the local cache from the first peer that can

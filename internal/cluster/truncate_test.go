@@ -27,7 +27,7 @@ func warmSnapshot(t *testing.T) (int, []byte) {
 		reqs = append(reqs, engine.Request{Kind: engine.KindSynthesize,
 			Function: engine.FunctionSpec{TT: fmt.Sprintf("3:0x%02x", i)}})
 	}
-	for i, res := range eng.SubmitBatch(reqs) {
+	for i, res := range submitBatch(context.Background(), eng, reqs) {
 		if !res.Ok() {
 			t.Fatalf("warm req %d: %v", i, res.Error)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -40,7 +41,7 @@ func TestAdmissionShedsWhenQueueSaturated(t *testing.T) {
 	defer release()
 	e.pool.jobs <- func() {} // fill the single queue slot
 
-	res := e.Do(Request{Kind: KindSynthesize, Function: FunctionSpec{TT: "2:0x6"}})
+	res := e.Do(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{TT: "2:0x6"}}, nil)
 	if res.Ok() {
 		t.Fatal("saturated engine accepted the request")
 	}
@@ -56,7 +57,7 @@ func TestAdmissionShedsWhenQueueSaturated(t *testing.T) {
 
 	// Released workers drain the queue; the same request is admitted.
 	release()
-	if res := e.Do(Request{Kind: KindSynthesize, Function: FunctionSpec{TT: "2:0x6"}}); !res.Ok() {
+	if res := e.Do(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{TT: "2:0x6"}}, nil); !res.Ok() {
 		t.Fatalf("post-drain request failed: %s", res.Error)
 	}
 }
@@ -70,7 +71,7 @@ func TestAdmissionBlocksForeverWithoutBudget(t *testing.T) {
 	e.pool.jobs <- func() {}
 	go func() { time.Sleep(10 * time.Millisecond); release() }()
 
-	res := e.Do(Request{Kind: KindSynthesize, Function: FunctionSpec{TT: "2:0x6"}})
+	res := e.Do(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{TT: "2:0x6"}}, nil)
 	if !res.Ok() {
 		t.Fatalf("blocking submission failed: %s (code %s)", res.Error, res.Code)
 	}
@@ -85,7 +86,7 @@ func TestDegradationAfterQueueWait(t *testing.T) {
 	e := New(Config{Workers: 2, CacheSize: 8, DegradeAfter: time.Nanosecond})
 	defer e.Close()
 
-	res := e.Do(Request{Kind: KindSynthesize, Function: FunctionSpec{Name: "maj3"}})
+	res := e.Do(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{Name: "maj3"}}, nil)
 	if !res.Ok() {
 		t.Fatalf("degraded request failed: %s", res.Error)
 	}
@@ -101,7 +102,7 @@ func TestDegradationAfterQueueWait(t *testing.T) {
 
 	// Pinned options opt out of degradation.
 	opts := core.DefaultOptions()
-	res = e.Do(Request{Kind: KindSynthesize, Function: FunctionSpec{Name: "maj3"}, Options: &opts})
+	res = e.Do(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{Name: "maj3"}, Options: &opts}, nil)
 	if !res.Ok() || res.Degraded {
 		t.Fatalf("pinned-options request: ok=%v degraded=%v", res.Ok(), res.Degraded)
 	}
@@ -121,8 +122,8 @@ func TestDegradedMatchesExactFunction(t *testing.T) {
 	defer deg.Close()
 
 	for _, fn := range []string{"maj3", "xor4"} {
-		re := exact.Do(Request{Kind: KindSynthesize, Function: FunctionSpec{Name: fn}})
-		rd := deg.Do(Request{Kind: KindSynthesize, Function: FunctionSpec{Name: fn}})
+		re := exact.Do(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{Name: fn}}, nil)
+		rd := deg.Do(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{Name: fn}}, nil)
 		if !re.Ok() || !rd.Ok() {
 			t.Fatalf("%s: exact ok=%v degraded ok=%v", fn, re.Ok(), rd.Ok())
 		}

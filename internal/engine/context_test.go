@@ -21,7 +21,7 @@ func TestSubmitBatchCtxCanceledUpfront(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = Request{Kind: KindMap, Function: FunctionSpec{Name: "maj3"}, Seed: int64(i), Density: 0.05}
 	}
-	results := e.SubmitBatchCtx(ctx, reqs)
+	results := submitBatch(ctx, e, reqs)
 	if len(results) != 16 {
 		t.Fatalf("got %d results, want 16", len(results))
 	}
@@ -61,7 +61,7 @@ func TestSubmitBatchCtxMidBatchCancellation(t *testing.T) {
 	}
 	var completed atomic.Int32
 	results := make([]Result, n)
-	e.SubmitStream(ctx, reqs, func(i int, r Result) {
+	e.Submit(ctx, reqs, func(i int, r Result) {
 		results[i] = r
 		if completed.Add(1) == 1 {
 			cancel()
@@ -97,7 +97,7 @@ func TestYieldMidSweepCancellation(t *testing.T) {
 
 	const chips = 5000
 	var dies atomic.Int32
-	res := e.DoStream(ctx, Request{
+	res := e.Do(ctx, Request{
 		Kind:     KindYield,
 		Function: FunctionSpec{Name: "maj3"},
 		Density:  0.05,
@@ -143,7 +143,7 @@ func TestEngineErrorTaxonomy(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res := e.Do(tc.req)
+			res := e.Do(context.Background(), tc.req, nil)
 			if res.Ok() {
 				t.Fatalf("request unexpectedly succeeded: %+v", res)
 			}

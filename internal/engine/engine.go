@@ -89,7 +89,7 @@ const (
 
 // Engine executes Requests over a shared synthesis cache and a bounded
 // worker pool. It is safe for concurrent use; Close releases the
-// workers (no Submit/Do may follow Close).
+// workers (no Do/Submit may follow Close).
 type Engine struct {
 	cache        *shardedCache
 	pool         *pool
@@ -221,20 +221,14 @@ func defaultCacheShards(workers int) int {
 // Close stops the worker pool after draining queued jobs.
 func (e *Engine) Close() { e.pool.close() }
 
-// Synthesize implements f on tech through the cache. The returned
-// Implementation is shared: callers must treat it as read-only. The
-// boolean reports a cache hit.
-func (e *Engine) Synthesize(f truthtab.TT, tech core.Technology, opts core.Options) (*core.Implementation, bool, error) {
-	imp, _, hit, err := e.synthKeyed(context.Background(), f, tech, opts)
-	return imp, hit, err
-}
-
-// synthKeyed is Synthesize plus the cache key, which is a SHA-256 over
-// the full truth table — computed once here and reused by callers that
-// report it. The context is checked on entry; the synthesis itself runs
-// detached from it, because a cache flight is shared work — a canceled
-// leader must not poison the result for concurrent followers of the
-// same key.
+// synthKeyed implements f on tech through the cache. The returned
+// Implementation is shared: callers must treat it as read-only. It also
+// returns the cache key, a SHA-256 over the full truth table — computed
+// once here and reused by callers that report it — and whether the
+// lookup was a cache hit. The context is checked on entry; the
+// synthesis itself runs detached from it, because a cache flight is
+// shared work — a canceled leader must not poison the result for
+// concurrent followers of the same key.
 func (e *Engine) synthKeyed(ctx context.Context, f truthtab.TT, tech core.Technology, opts core.Options) (*core.Implementation, string, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, "", false, apierr.Canceled(err)
@@ -269,61 +263,36 @@ func (e *Engine) synthKeyed(ctx context.Context, f truthtab.TT, tech core.Techno
 // (completion order, not die order). Exactly one of mr/err is non-nil.
 type DieFunc func(die int, mr *MapResult, err error)
 
-// Do executes one request on the worker pool and waits for its result.
-func (e *Engine) Do(req Request) Result {
-	return e.DoCtx(context.Background(), req)
-}
-
-// DoCtx executes one request on the worker pool, honoring cancellation:
-// a context canceled before the request starts yields an
-// apierr.ErrCanceled result without running it; a yield sweep canceled
-// mid-flight stops mapping further dies.
-func (e *Engine) DoCtx(ctx context.Context, req Request) Result {
-	return e.DoStream(ctx, req, nil)
-}
-
-// DoStream is DoCtx plus per-die streaming for KindYield requests:
-// onDie (when non-nil) fires as each die completes, before the
-// aggregate result returns. Calls to onDie are serialized.
-func (e *Engine) DoStream(ctx context.Context, req Request, onDie DieFunc) Result {
+// Do executes one request on the worker pool and waits for its result,
+// honoring cancellation: a context canceled before the request starts
+// yields an apierr.ErrCanceled result without running it; a yield sweep
+// canceled mid-flight stops mapping further dies. onDie (optional)
+// fires as each die of a KindYield request completes, before the
+// aggregate result returns; calls to it are serialized.
+func (e *Engine) Do(ctx context.Context, req Request, onDie DieFunc) Result {
 	var res Result
-	e.SubmitStream(ctx, []Request{req},
-		func(_ int, r Result) { res = r },
-		func(_ int, die int, mr *MapResult, err error) {
-			if onDie != nil {
-				onDie(die, mr, err)
-			}
-		})
+	var df func(req, die int, mr *MapResult, err error)
+	if onDie != nil {
+		df = func(_, die int, mr *MapResult, err error) { onDie(die, mr, err) }
+	}
+	e.Submit(ctx, []Request{req}, func(_ int, r Result) { res = r }, df)
 	return res
 }
 
-// SubmitBatch fans the requests out across the worker pool and returns
-// their results in submission order. It blocks until every request has
-// completed; it is safe to call from many goroutines at once.
-func (e *Engine) SubmitBatch(reqs []Request) []Result {
-	return e.SubmitBatchCtx(context.Background(), reqs)
-}
-
-// SubmitBatchCtx is SubmitBatch with cancellation: once the context is
-// done, requests that have not started return apierr.ErrCanceled
-// results instead of running to completion, and in-flight yield sweeps
-// stop at the next die boundary.
-func (e *Engine) SubmitBatchCtx(ctx context.Context, reqs []Request) []Result {
-	results := make([]Result, len(reqs))
-	e.SubmitStream(ctx, reqs, func(i int, r Result) { results[i] = r }, nil)
-	return results
-}
-
-// SubmitStream fans the requests out across the worker pool, invoking
+// Submit fans the requests out across the worker pool, invoking
 // done(i, result) as each request completes — in completion order, not
 // submission order, which is what lets the HTTP layer flush finished
 // results while slower ones still run. onDie (optional) additionally
 // observes every die of yield requests as (request index, die index).
 // Both callbacks may be invoked concurrently from pool workers; callers
-// synchronize shared state. SubmitStream returns when every request has
-// been resolved (run, shed with an apierr.ErrOverloaded result when the
-// queue stayed saturated past MaxQueueWait, or reported canceled).
-func (e *Engine) SubmitStream(ctx context.Context, reqs []Request, done func(int, Result), onDie func(req, die int, mr *MapResult, err error)) {
+// synchronize shared state. Once the context is done, requests that
+// have not started resolve with apierr.ErrCanceled results and
+// in-flight yield sweeps stop at the next die boundary. Submit returns
+// when every request has been resolved (run, shed with an
+// apierr.ErrOverloaded result when the queue stayed saturated past
+// MaxQueueWait, or reported canceled). It is safe to call from many
+// goroutines at once.
+func (e *Engine) Submit(ctx context.Context, reqs []Request, done func(int, Result), onDie func(req, die int, mr *MapResult, err error)) {
 	var wg sync.WaitGroup
 	wg.Add(len(reqs))
 	for i := range reqs {

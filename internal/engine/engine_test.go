@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -10,6 +11,14 @@ import (
 	"nanoxbar/internal/core"
 	"nanoxbar/internal/defect"
 )
+
+// submitBatch runs reqs through Submit and returns their results in
+// submission order.
+func submitBatch(ctx context.Context, e *Engine, reqs []Request) []Result {
+	results := make([]Result, len(reqs))
+	e.Submit(ctx, reqs, func(i int, r Result) { results[i] = r }, nil)
+	return results
+}
 
 func newTestEngine(t *testing.T) *Engine {
 	t.Helper()
@@ -27,7 +36,7 @@ func TestSynthesizeMatchesUncached(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", spec.Name, tech, err)
 			}
-			got, hit, err := e.Synthesize(spec.F, tech, opts)
+			got, _, hit, err := e.synthKeyed(context.Background(), spec.F, tech, opts)
 			if err != nil || hit {
 				t.Fatalf("%s/%v first call: hit=%v err=%v", spec.Name, tech, hit, err)
 			}
@@ -38,7 +47,7 @@ func TestSynthesizeMatchesUncached(t *testing.T) {
 			if !got.Verify(spec.F) {
 				t.Fatalf("%s/%v: cached implementation does not compute the function", spec.Name, tech)
 			}
-			again, hit, err := e.Synthesize(spec.F, tech, opts)
+			again, _, hit, err := e.synthKeyed(context.Background(), spec.F, tech, opts)
 			if err != nil || !hit || again != got {
 				t.Fatalf("%s/%v second call: hit=%v same=%v err=%v", spec.Name, tech, hit, again == got, err)
 			}
@@ -71,7 +80,7 @@ func TestConcurrentCacheCorrectness(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % len(specs)
-				imp, _, err := e.Synthesize(specs[i].F, core.FourTerminal, opts)
+				imp, _, _, err := e.synthKeyed(context.Background(), specs[i].F, core.FourTerminal, opts)
 				if err != nil {
 					t.Errorf("synthesize %s: %v", specs[i].Name, err)
 					return
@@ -117,7 +126,7 @@ func TestBatchSingleMissDeterministic(t *testing.T) {
 	}
 
 	e1 := newTestEngine(t)
-	res1 := e1.SubmitBatch(makeBatch())
+	res1 := submitBatch(context.Background(), e1, makeBatch())
 	st := e1.Stats()
 	if st.SynthCalls != 1 {
 		t.Fatalf("batch of %d same-function requests ran %d syntheses, want 1", n, st.SynthCalls)
@@ -135,7 +144,7 @@ func TestBatchSingleMissDeterministic(t *testing.T) {
 	}
 
 	e2 := newTestEngine(t)
-	res2 := e2.SubmitBatch(makeBatch())
+	res2 := submitBatch(context.Background(), e2, makeBatch())
 	if !reflect.DeepEqual(res1, res2) {
 		t.Fatal("fixed seeds gave different results across engines")
 	}
@@ -155,13 +164,13 @@ func TestMapAgainstSuppliedChip(t *testing.T) {
 	if back.String() != chip.String() {
 		t.Fatal("defect map wire round trip changed the map")
 	}
-	res := e.Do(Request{
+	res := e.Do(context.Background(), Request{
 		Kind:     KindMap,
 		Function: FunctionSpec{Expr: "x1x2 + x1'x2'"},
 		Scheme:   "hybrid",
 		Chip:     &spec,
 		Seed:     7,
-	})
+	}, nil)
 	if !res.Ok() || res.Map == nil {
 		t.Fatalf("map request failed: %+v", res)
 	}
@@ -173,7 +182,7 @@ func TestMapAgainstSuppliedChip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		imp, _, err := e.Synthesize(f, core.FourTerminal, core.DefaultOptions())
+		imp, _, _, err := e.synthKeyed(context.Background(), f, core.FourTerminal, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +195,7 @@ func TestMapAgainstSuppliedChip(t *testing.T) {
 
 func TestCompareUsesSharedCache(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.Do(Request{Kind: KindCompare, Function: FunctionSpec{Name: "maj3"}})
+	res := e.Do(context.Background(), Request{Kind: KindCompare, Function: FunctionSpec{Name: "maj3"}}, nil)
 	if !res.Ok() || res.Compare == nil {
 		t.Fatalf("compare failed: %+v", res)
 	}
@@ -195,7 +204,7 @@ func TestCompareUsesSharedCache(t *testing.T) {
 	}
 	// A follow-up synthesize on each technology must hit.
 	for _, tech := range []string{"diode", "fet", "lattice"} {
-		r := e.Do(Request{Kind: KindSynthesize, Function: FunctionSpec{Name: "maj3"}, Tech: tech})
+		r := e.Do(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{Name: "maj3"}, Tech: tech}, nil)
 		if !r.Ok() || !r.Synthesis.CacheHit {
 			t.Fatalf("synthesize after compare on %s: %+v", tech, r)
 		}
@@ -212,7 +221,7 @@ func TestYieldSweep(t *testing.T) {
 		ChipSize: 20,
 		Seed:     99,
 	}
-	res := e.Do(req)
+	res := e.Do(context.Background(), req, nil)
 	if !res.Ok() || res.Yield == nil {
 		t.Fatalf("yield failed: %+v", res)
 	}
@@ -230,7 +239,7 @@ func TestYieldSweep(t *testing.T) {
 		t.Fatalf("avg BIST calls %v, want > 0", y.AvgBIST)
 	}
 	// Determinism: same seed, same aggregate.
-	res2 := e.Do(req)
+	res2 := e.Do(context.Background(), req, nil)
 	if !reflect.DeepEqual(res, res2) {
 		t.Fatal("yield sweep not deterministic for fixed seed")
 	}
@@ -272,7 +281,7 @@ func TestRequestValidation(t *testing.T) {
 		"huge chip size":  {Kind: KindMap, Function: FunctionSpec{Name: "maj3"}, ChipSize: 4_000_000_000},
 		"huge attempts":   {Kind: KindMap, Function: FunctionSpec{Name: "maj3"}, MaxAttempts: 2_000_000_000},
 	} {
-		if res := e.Do(req); res.Ok() {
+		if res := e.Do(context.Background(), req, nil); res.Ok() {
 			t.Errorf("%s: request unexpectedly succeeded", name)
 		}
 	}
@@ -297,7 +306,7 @@ func TestConcurrentBatches(t *testing.T) {
 				{Kind: KindCompare, Function: FunctionSpec{Name: "xor4"}},
 				{Kind: KindMap, Function: FunctionSpec{Name: "maj3"}, Density: 0.02, Seed: int64(b)},
 			}
-			res := e.SubmitBatch(reqs)
+			res := submitBatch(context.Background(), e, reqs)
 			if len(res) != 3 {
 				t.Errorf("batch %d: %d results", b, len(res))
 				return

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -33,7 +34,7 @@ func TestWarmRestartServesFromSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.snap")
 
 	e1 := New(Config{Workers: 4, CacheSize: 64})
-	for i, res := range e1.SubmitBatch(reqs) {
+	for i, res := range submitBatch(context.Background(), e1, reqs) {
 		if !res.Ok() {
 			t.Fatalf("warmup request %d failed: %s", i, res.Error)
 		}
@@ -60,7 +61,7 @@ func TestWarmRestartServesFromSnapshot(t *testing.T) {
 		t.Fatalf("stats after load: loaded=%d entries=%d, want %d/%d", st.CacheLoaded, st.CacheEntries, n, n)
 	}
 
-	for i, res := range e2.SubmitBatch(reqs) {
+	for i, res := range submitBatch(context.Background(), e2, reqs) {
 		if !res.Ok() {
 			t.Fatalf("replayed request %d failed: %s", i, res.Error)
 		}
@@ -82,7 +83,7 @@ func TestWarmRestartServesFromSnapshot(t *testing.T) {
 func TestSnapshotStreamRoundTrip(t *testing.T) {
 	e1 := New(Config{Workers: 2, CacheSize: 64})
 	reqs := warmupBatch()
-	e1.SubmitBatch(reqs)
+	submitBatch(context.Background(), e1, reqs)
 	var buf bytes.Buffer
 	n, err := e1.WriteCacheSnapshot(&buf)
 	e1.Close()
@@ -94,7 +95,7 @@ func TestSnapshotStreamRoundTrip(t *testing.T) {
 	defer e2.Close()
 	// Pre-populate one key; the snapshot's copy of it must not count as
 	// loaded.
-	if res := e2.Do(reqs[0]); !res.Ok() {
+	if res := e2.Do(context.Background(), reqs[0], nil); !res.Ok() {
 		t.Fatalf("pre-populate: %s", res.Error)
 	}
 	loaded, err := e2.ReadCacheSnapshot(bytes.NewReader(buf.Bytes()))
@@ -119,7 +120,7 @@ func TestColdStartAfterTruncatedSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.snap")
 
 	e1 := New(Config{Workers: 4, CacheSize: 64})
-	e1.SubmitBatch(reqs)
+	submitBatch(context.Background(), e1, reqs)
 	if _, err := e1.SaveCacheSnapshot(path); err != nil {
 		t.Fatalf("save: %v", err)
 	}
@@ -140,7 +141,7 @@ func TestColdStartAfterTruncatedSnapshot(t *testing.T) {
 	if st := e2.Stats(); st.CacheLoaded != 0 || st.CacheEntries != 0 {
 		t.Fatalf("torn snapshot leaked entries: loaded=%d entries=%d", st.CacheLoaded, st.CacheEntries)
 	}
-	for i, res := range e2.SubmitBatch(reqs) {
+	for i, res := range submitBatch(context.Background(), e2, reqs) {
 		if !res.Ok() {
 			t.Fatalf("cold request %d failed: %s", i, res.Error)
 		}

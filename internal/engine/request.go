@@ -1,6 +1,6 @@
 // Request and Result are the typed units of work the engine executes.
 // They are plain data with JSON tags, so the same structs travel
-// in-process (SubmitBatch), over HTTP (cmd/xbarserverd), and in batch
+// in-process (Do/Submit), over HTTP (cmd/xbarserverd), and in batch
 // files without translation layers.
 package engine
 

@@ -36,7 +36,7 @@ func WithCluster(n *cluster.Node) Option {
 func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if key == "" {
-		writeError(w, http.StatusBadRequest, apierr.CodeBadSpec, "missing key parameter")
+		v2Error(w, http.StatusBadRequest, apierr.CodeBadSpec, "missing key parameter")
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"nanoxbar/internal/apierr"
-	"nanoxbar/internal/engine"
 	"nanoxbar/internal/resilience"
 	"nanoxbar/internal/telemetry"
 )
@@ -44,8 +43,8 @@ const (
 	metricHTTPLimitedInflight = "nanoxbar_http_limited_inflight"
 )
 
-// WithLimits bounds concurrent work requests (the /v1/* and /v2/jobs
-// routes; ops routes are exempt so health checks and metric scrapes
+// WithLimits bounds concurrent work requests (/v2/jobs and the cluster
+// peer routes; ops routes are exempt so health checks and metric scrapes
 // survive overload). A request that cannot get a slot within maxWait is
 // shed with a structured 429 and a Retry-After header. maxConcurrent
 // <= 0 leaves the server unlimited.
@@ -94,7 +93,7 @@ func (s *Server) protect(h http.HandlerFunc) http.HandlerFunc {
 		if s.draining.Load() {
 			s.drainRejects.Add(1)
 			setRetryAfter(w, shedRetryAfter)
-			writeError(w, http.StatusServiceUnavailable, apierr.CodeUnavailable,
+			v2Error(w, http.StatusServiceUnavailable, apierr.CodeUnavailable,
 				"server is draining for shutdown")
 			return
 		}
@@ -113,14 +112,14 @@ func (s *Server) protect(h http.HandlerFunc) http.HandlerFunc {
 			if err := s.limiter.Acquire(r.Context()); err != nil {
 				if errors.Is(err, resilience.ErrLimited) {
 					setRetryAfter(w, shedRetryAfter)
-					writeError(w, http.StatusTooManyRequests, apierr.CodeOverloaded,
+					v2Error(w, http.StatusTooManyRequests, apierr.CodeOverloaded,
 						"concurrency limit %d saturated", s.limiter.Cap())
 					return
 				}
 				// The client gave up while waiting for a slot; it will
 				// never read the body, but 499-style accounting still
 				// wants a status.
-				writeError(w, http.StatusServiceUnavailable, apierr.CodeCanceled,
+				v2Error(w, http.StatusServiceUnavailable, apierr.CodeCanceled,
 					"client canceled while awaiting admission")
 				return
 			}
@@ -146,26 +145,9 @@ func (s *Server) recoverPanic(w *statusWriter, r *http.Request) {
 		slog.Any("panic", rec),
 		slog.String("stack", string(debug.Stack())))
 	if w.code == 0 {
-		writeError(w, http.StatusInternalServerError, apierr.CodeInternal,
+		v2Error(w, http.StatusInternalServerError, apierr.CodeInternal,
 			"internal error (request %s)", id)
 	}
 	// Headers already sent (e.g. mid-stream): nothing more to write;
 	// the connection closes and the client sees a truncated stream.
-}
-
-// statusForResult maps a failed engine result onto its HTTP status:
-// overload is 429 (retryable, with a hint), unavailability 503, and
-// everything else the legacy 422. Success never reaches here.
-func statusForResult(w http.ResponseWriter, res engine.Result) int {
-	err := res.TypedErr()
-	switch {
-	case errors.Is(err, apierr.ErrOverloaded):
-		setRetryAfter(w, shedRetryAfter)
-		return http.StatusTooManyRequests
-	case errors.Is(err, apierr.ErrUnavailable):
-		setRetryAfter(w, shedRetryAfter)
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusUnprocessableEntity
-	}
 }

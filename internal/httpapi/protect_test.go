@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"nanoxbar/internal/apierr"
+	"nanoxbar/internal/cluster"
 	"nanoxbar/internal/engine"
+	"nanoxbar/pkg/nanoxbar"
 )
 
 // protectedServer builds a server with a tiny concurrency limit and a
@@ -28,10 +30,25 @@ func protectedServer(t *testing.T, opts ...Option) (*httptest.Server, *Server) {
 	return ts, srv
 }
 
-// slowSweep is a yield body big enough to hold a worker for the whole
-// test: 100k dies on oversized chips. Holders run it under a
-// cancellable context so tests can release the slot deterministically.
-const slowSweep = `{"kind":"yield","function":{"name":"maj5"},"chips":100000,"chip_size":48,"density":0.4,"seed":1}`
+// slowSweep is a jobs body big enough to hold a worker for the whole
+// test: a yield sweep of 100k dies on oversized chips. Holders run it
+// under a cancellable context so tests can release the slot
+// deterministically.
+const slowSweep = `{"requests":[{"kind":"yield","function":{"name":"maj5"},"chips":100000,"chip_size":48,"density":0.4,"seed":1}]}`
+
+// tinyJob is a jobs body that completes in microseconds.
+var tinyJob = json.RawMessage(`{"requests":[{"kind":"synthesize","function":{"tt":"2:0x6"}}]}`)
+
+// errorCode decodes body as the one server error shape and returns its
+// taxonomy code.
+func errorCode(t *testing.T, body []byte) string {
+	t.Helper()
+	var er nanoxbar.ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil || er.Error.Message == "" {
+		t.Fatalf("body %s is not an ErrorResponse (err %v)", body, err)
+	}
+	return er.Error.Code
+}
 
 // startHolder posts slowSweep on its own context and returns a stop
 // function that cancels it and waits for the connection to unwind.
@@ -42,7 +59,7 @@ func startHolder(t *testing.T, url string) (stop func()) {
 	go func() {
 		defer close(done)
 		for ctx.Err() == nil {
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/map",
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v2/jobs",
 				strings.NewReader(slowSweep))
 			if err != nil {
 				return
@@ -84,9 +101,7 @@ func TestShedReturns429WithRetryAfter(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("never observed a 429")
 		}
-		resp, body := postJSON(t, ts.URL+"/v1/synthesize", map[string]any{
-			"kind": "synthesize", "function": map[string]string{"tt": "2:0x6"},
-		})
+		resp, body := postJSON(t, ts.URL+"/v2/jobs", tinyJob)
 		if resp.StatusCode == http.StatusOK {
 			time.Sleep(time.Millisecond)
 			continue
@@ -97,9 +112,8 @@ func TestShedReturns429WithRetryAfter(t *testing.T) {
 		if ra := resp.Header.Get("Retry-After"); ra == "" {
 			t.Fatal("429 without Retry-After")
 		}
-		var ae apiError
-		if err := json.Unmarshal(body, &ae); err != nil || ae.Code != apierr.CodeOverloaded {
-			t.Fatalf("shed body = %s (err %v), want code %q", body, err, apierr.CodeOverloaded)
+		if code := errorCode(t, body); code != apierr.CodeOverloaded {
+			t.Fatalf("shed code = %q, want %q", code, apierr.CodeOverloaded)
 		}
 		break
 	}
@@ -108,9 +122,7 @@ func TestShedReturns429WithRetryAfter(t *testing.T) {
 	// With the holder gone the slot frees as soon as its handler
 	// unwinds; poll until requests flow again.
 	waitFor(t, "post-shed recovery", func() bool {
-		resp, _ := postJSON(t, ts.URL+"/v1/synthesize", map[string]any{
-			"kind": "synthesize", "function": map[string]string{"tt": "2:0x6"},
-		})
+		resp, _ := postJSON(t, ts.URL+"/v2/jobs", tinyJob)
 		return resp.StatusCode == http.StatusOK
 	})
 }
@@ -122,18 +134,15 @@ func TestDrainRejectsWorkKeepsOps(t *testing.T) {
 		t.Fatal("Draining() = false after Drain")
 	}
 
-	resp, body := postJSON(t, ts.URL+"/v1/synthesize", map[string]any{
-		"kind": "synthesize", "function": map[string]string{"tt": "2:0x6"},
-	})
+	resp, body := postJSON(t, ts.URL+"/v2/jobs", tinyJob)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining work route status = %d, want 503", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("draining 503 without Retry-After")
 	}
-	var ae apiError
-	if err := json.Unmarshal(body, &ae); err != nil || ae.Code != apierr.CodeUnavailable {
-		t.Fatalf("drain body = %s, want code %q", body, apierr.CodeUnavailable)
+	if code := errorCode(t, body); code != apierr.CodeUnavailable {
+		t.Fatalf("drain code = %q, want %q", code, apierr.CodeUnavailable)
 	}
 
 	for _, path := range []string{"/healthz", "/stats", "/metrics"} {
@@ -153,8 +162,8 @@ func TestDeadlineHeaderBoundsRequest(t *testing.T) {
 	ts, _ := protectedServer(t)
 	// A 1ms budget cannot cover a 2000-die yield sweep: the request
 	// must come back canceled (deadline exceeded server-side), not hang.
-	body := `{"kind":"yield","function":{"name":"maj5"},"chips":2000,"seed":1}`
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/map", strings.NewReader(body))
+	body := `{"requests":[{"kind":"yield","function":{"name":"maj5"},"chips":2000,"seed":1}]}`
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/jobs", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,15 +175,16 @@ func TestDeadlineHeaderBoundsRequest(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
-	var res engine.Result
-	if err := json.Unmarshal(raw, &res); err != nil {
-		t.Fatalf("bad body %s: %v", raw, err)
+	first := bytes.SplitN(raw, []byte("\n"), 2)[0]
+	var ev nanoxbar.Event
+	if err := json.Unmarshal(first, &ev); err != nil {
+		t.Fatalf("bad frame %s: %v", first, err)
 	}
-	if res.Ok() {
-		t.Fatal("1ms-budget sweep succeeded — deadline header ignored")
+	if ev.Type != nanoxbar.EventError {
+		t.Fatalf("1ms-budget sweep answered %s — deadline header ignored (body %s)", ev.Type, raw)
 	}
-	if res.Code != apierr.CodeCanceled {
-		t.Fatalf("code = %q, want %q (body %s)", res.Code, apierr.CodeCanceled, raw)
+	if ev.Error.Code != apierr.CodeCanceled {
+		t.Fatalf("code = %q, want %q (body %s)", ev.Error.Code, apierr.CodeCanceled, raw)
 	}
 }
 
@@ -202,9 +212,8 @@ func TestPanicRecoveryReturns500WithRequestID(t *testing.T) {
 	if id == "" {
 		t.Fatal("500 without X-Request-ID")
 	}
-	var ae apiError
-	if err := json.Unmarshal(body, &ae); err != nil || ae.Code != apierr.CodeInternal {
-		t.Fatalf("panic body = %s, want internal code", body)
+	if code := errorCode(t, body); code != apierr.CodeInternal {
+		t.Fatalf("panic code = %q, want %q", code, apierr.CodeInternal)
 	}
 	if !bytes.Contains(body, []byte(id)) {
 		t.Fatalf("panic body %s does not reference request ID %s", body, id)
@@ -213,9 +222,7 @@ func TestPanicRecoveryReturns500WithRequestID(t *testing.T) {
 		t.Fatalf("panics counter = %d, want 1", srv.panics.Load())
 	}
 	// The server survives: a normal request still works.
-	resp2, _ := postJSON(t, ts.URL+"/v1/synthesize", map[string]any{
-		"kind": "synthesize", "function": map[string]string{"tt": "2:0x6"},
-	})
+	resp2, _ := postJSON(t, ts.URL+"/v2/jobs", tinyJob)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-panic status = %d", resp2.StatusCode)
 	}
@@ -234,38 +241,57 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func TestOverloadedResultMapsTo429(t *testing.T) {
-	// Engine-level shed (queue saturation) must surface as HTTP 429,
-	// not the blanket 422.
-	eng := engine.New(engine.Config{Workers: 1, CacheSize: 8, QueueDepth: 1, MaxQueueWait: 50 * time.Millisecond})
+// TestErrorBodiesShareOneShape: every rejection the server writes
+// outside the event stream — peer-fill 400, panic 500, limiter 429,
+// drain 503 — decodes as a nanoxbar.ErrorResponse with its taxonomy
+// code.
+func TestErrorBodiesShareOneShape(t *testing.T) {
+	eng := engine.New(engine.Config{Workers: 2, CacheSize: 16})
 	t.Cleanup(eng.Close)
-	srv := New(eng)
+	node, err := cluster.New(eng, cluster.Config{NodeID: "solo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(eng, WithLimits(1, 0), WithCluster(node))
+	srv.mux.HandleFunc("/boom", srv.instrument("/boom", func(http.ResponseWriter, *http.Request) {
+		panic("kaboom")
+	}))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
-	// Saturate in sequence so neither holder sheds: the first sweep
-	// must own the worker before the second fills the one queue slot.
-	stop1 := startHolder(t, ts.URL)
-	defer stop1()
-	waitFor(t, "worker pickup", func() bool { return eng.Stats().Requests >= 1 })
-	stop2 := startHolder(t, ts.URL)
-	defer stop2()
-	waitFor(t, "queue occupancy", func() bool { return eng.Stats().QueuedJobs == 1 })
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, body
+	}
+	if status, body := get(cluster.FillPath); status != http.StatusBadRequest || errorCode(t, body) != apierr.CodeBadSpec {
+		t.Fatalf("peer fill without key: %d %s, want 400 bad_spec", status, body)
+	}
+	if status, body := get("/boom"); status != http.StatusInternalServerError || errorCode(t, body) != apierr.CodeInternal {
+		t.Fatalf("panic: %d %s, want 500 internal", status, body)
+	}
 
-	resp, body := postJSON(t, ts.URL+"/v1/synthesize", map[string]any{
-		"kind": "synthesize", "function": map[string]string{"tt": "2:0x6"},
+	stop := startHolder(t, ts.URL)
+	waitFor(t, "a limiter shed", func() bool {
+		resp, body := postJSON(t, ts.URL+"/v2/jobs", tinyJob)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			return false
+		}
+		if code := errorCode(t, body); code != apierr.CodeOverloaded {
+			t.Fatalf("limiter code = %q, want %q", code, apierr.CodeOverloaded)
+		}
+		return true
 	})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429; body %s", resp.StatusCode, body)
-	}
-	var res engine.Result
-	if err := json.Unmarshal(body, &res); err != nil || res.Code != apierr.CodeOverloaded {
-		t.Fatalf("shed result body = %s, want code %q", body, apierr.CodeOverloaded)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
-	}
-	if eng.Stats().Shed != 1 {
-		t.Fatalf("engine shed counter = %d, want 1", eng.Stats().Shed)
+	stop()
+
+	srv.Drain()
+	resp, body := postJSON(t, ts.URL+"/v2/jobs", tinyJob)
+	if resp.StatusCode != http.StatusServiceUnavailable || errorCode(t, body) != apierr.CodeUnavailable {
+		t.Fatalf("drain: %d %s, want 503 unavailable", resp.StatusCode, body)
 	}
 }

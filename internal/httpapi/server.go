@@ -1,13 +1,9 @@
-// Package httpapi routes the nanoxbar serving engine over HTTP. It
-// hosts both API generations:
-//
-//   - v1 (POST /v1/synthesize, /v1/map, /v1/batch): request/response
-//     JSON, results buffered in submission order. The handlers are
-//     thin adapters over the typed engine layer; errors carry the
-//     machine-readable taxonomy code alongside the legacy message.
-//   - v2 (POST /v2/jobs): one endpoint for every request kind,
-//     responding with an NDJSON event stream flushed as workers
-//     finish (v2.go).
+// Package httpapi routes the nanoxbar serving engine over HTTP. Every
+// request kind goes through one work route, POST /v2/jobs, which takes
+// a nanoxbar.JobsRequest and responds with an NDJSON event stream
+// flushed as workers finish (v2.go). Every non-2xx body, on work and
+// ops routes alike, is a nanoxbar.ErrorResponse carrying a taxonomy
+// code.
 //
 // The package is importable (unlike cmd/xbarserverd's main) so tests
 // and benchmarks can mount the exact production handler on httptest
@@ -16,15 +12,12 @@ package httpapi
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"sync/atomic"
 	"time"
 
-	"nanoxbar/internal/apierr"
 	"nanoxbar/internal/cluster"
 	"nanoxbar/internal/engine"
 	"nanoxbar/internal/resilience"
@@ -35,7 +28,7 @@ import (
 // a batch of map requests with explicit defect maps, well under this.
 const maxBodyBytes = 16 << 20
 
-// maxBatchSize bounds one batch submission (v1 batch and v2 jobs).
+// maxBatchSize bounds one /v2/jobs submission.
 // Larger workloads should be split client-side so a single request
 // cannot monopolize the pool.
 const maxBatchSize = 10000
@@ -83,9 +76,6 @@ func New(eng *engine.Engine, opts ...Option) *Server {
 	handleWork := func(path string, h http.HandlerFunc) {
 		handle(path, s.protect(h))
 	}
-	handleWork("/v1/synthesize", s.handleSingle(engine.KindSynthesize, engine.KindCompare))
-	handleWork("/v1/map", s.handleSingle(engine.KindMap, engine.KindYield))
-	handleWork("/v1/batch", s.handleBatch)
 	handleWork("/v2/jobs", s.handleJobs)
 	handle("/healthz", requireGET(s.handleHealthz))
 	handle("/stats", requireGET(s.handleStats))
@@ -134,18 +124,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// apiError is the v1 error body: the legacy message plus the taxonomy
-// code so v1 clients can migrate to machine-readable handling without
-// switching endpoints.
-type apiError struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
-}
-
-func writeError(w http.ResponseWriter, status int, code string, format string, args ...any) {
-	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...), Code: code})
-}
-
 // decodeBody parses a JSON body into dst with a size bound. The error
 // distinguishes oversized bodies so callers can return 413.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
@@ -153,121 +131,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	return dec.Decode(dst)
-}
-
-// classifyDecodeError maps a decodeBody failure onto (status, code,
-// message): oversized bodies are 413, everything else a 400. Shared by
-// the v1 and v2 error writers so the two API generations cannot drift
-// in status mapping.
-func classifyDecodeError(err error) (status int, code, msg string) {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return http.StatusRequestEntityTooLarge, apierr.CodeBadSpec,
-			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)
-	}
-	return http.StatusBadRequest, apierr.CodeBadSpec, fmt.Sprintf("bad request body: %v", err)
-}
-
-// writeDecodeError renders a decodeBody failure in the v1 body shape.
-func writeDecodeError(w http.ResponseWriter, err error) {
-	status, code, msg := classifyDecodeError(err)
-	writeError(w, status, code, "%s", msg)
-}
-
-// handleSingle serves one-request endpoints. The first kind is the
-// default when the body leaves kind empty; a request naming any other
-// kind than the allowed ones is rejected, keeping each endpoint's
-// latency profile predictable.
-func (s *Server) handleSingle(def engine.Kind, also ...engine.Kind) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, apierr.CodeBadSpec, "use POST")
-			return
-		}
-		var req engine.Request
-		if err := decodeBody(w, r, &req); err != nil {
-			writeDecodeError(w, err)
-			return
-		}
-		if req.Kind == "" {
-			req.Kind = def
-		}
-		allowed := req.Kind == def
-		for _, k := range also {
-			allowed = allowed || req.Kind == k
-		}
-		if !allowed {
-			writeError(w, http.StatusBadRequest, apierr.CodeBadSpec, "kind %q not served by %s", req.Kind, r.URL.Path)
-			return
-		}
-		// Cluster routing: a synthesis request whose cache key another
-		// node owns is forwarded there (once — the marker header stops
-		// forwarding loops under transiently disagreeing ring views).
-		// handled=false covers every local-serving outcome, including
-		// the typed local-degrade terminal of the failover ladder.
-		if s.cluster != nil && r.Header.Get(cluster.ForwardedHeader) == "" {
-			if res, handled := s.cluster.RouteSynthesize(r.Context(), req); handled {
-				if !res.Ok() {
-					writeJSON(w, statusForResult(w, res), res)
-					return
-				}
-				writeJSON(w, http.StatusOK, res)
-				return
-			}
-		}
-		res := s.eng.DoCtx(r.Context(), req)
-		if !res.Ok() {
-			writeJSON(w, statusForResult(w, res), res)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	}
-}
-
-// batchRequest is the /v1/batch body.
-type batchRequest struct {
-	Requests []engine.Request `json:"requests"`
-}
-
-// batchResponse mirrors the submission order.
-type batchResponse struct {
-	Results []engine.Result `json:"results"`
-	Errors  int             `json:"errors"`
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, apierr.CodeBadSpec, "use POST")
-		return
-	}
-	var req batchRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeDecodeError(w, err)
-		return
-	}
-	if len(req.Requests) == 0 {
-		writeError(w, http.StatusBadRequest, apierr.CodeBadSpec, "empty batch")
-		return
-	}
-	if len(req.Requests) > maxBatchSize {
-		writeError(w, http.StatusRequestEntityTooLarge, apierr.CodeBadSpec,
-			"batch of %d exceeds limit %d", len(req.Requests), maxBatchSize)
-		return
-	}
-	// Default empty kinds to per-chip mapping, the expected bulk load.
-	for i := range req.Requests {
-		if req.Requests[i].Kind == "" {
-			req.Requests[i].Kind = engine.KindMap
-		}
-	}
-	results := s.eng.SubmitBatchCtx(r.Context(), req.Requests)
-	resp := batchResponse{Results: results}
-	for _, res := range results {
-		if !res.Ok() {
-			resp.Errors++
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // healthCache is the cache summary embedded in /healthz: enough for an

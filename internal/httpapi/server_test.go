@@ -2,13 +2,15 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"nanoxbar/internal/apierr"
 	"nanoxbar/internal/engine"
+	"nanoxbar/pkg/nanoxbar"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -36,6 +38,27 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, buf.Bytes()
+}
+
+// jobResults posts reqs to /v2/jobs and returns their outcomes in
+// request order; an error event becomes a Result carrying its message
+// and code.
+func jobResults(t *testing.T, url string, reqs ...engine.Request) []engine.Result {
+	t.Helper()
+	code, evs := readEvents(t, url, nanoxbar.JobsRequest{Requests: reqs})
+	if code != http.StatusOK {
+		t.Fatalf("POST /v2/jobs: status %d: %+v", code, evs)
+	}
+	out := make([]engine.Result, len(reqs))
+	for _, ev := range evs {
+		switch ev.Type {
+		case nanoxbar.EventResult:
+			out[ev.Index] = *ev.Result
+		case nanoxbar.EventError:
+			out[ev.Index] = engine.Result{Error: ev.Error.Message, Code: ev.Error.Code}
+		}
+	}
+	return out
 }
 
 func TestHealthz(t *testing.T) {
@@ -67,25 +90,22 @@ func TestHealthz(t *testing.T) {
 // the fault-path counters surface consistently on /healthz and /stats.
 func TestFaultCountersReported(t *testing.T) {
 	ts := newTestServer(t)
-	resp, _ := postJSON(t, ts.URL+"/v1/map", engine.Request{
+	const chips = 7
+	for i, res := range jobResults(t, ts.URL, engine.Request{
 		Kind:     engine.KindMap,
 		Function: engine.FunctionSpec{Name: "maj3"},
 		Density:  0.02,
 		Seed:     1,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("map status %d", resp.StatusCode)
-	}
-	const chips = 7
-	resp, _ = postJSON(t, ts.URL+"/v1/map", engine.Request{
+	}, engine.Request{
 		Kind:     engine.KindYield,
 		Function: engine.FunctionSpec{Name: "maj3"},
 		Density:  0.02,
 		Chips:    chips,
 		Seed:     2,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("yield status %d", resp.StatusCode)
+	}) {
+		if !res.Ok() {
+			t.Fatalf("request %d: %s", i, res.Error)
+		}
 	}
 
 	hr, err := http.Get(ts.URL + "/healthz")
@@ -141,7 +161,7 @@ func TestFaultCountersReported(t *testing.T) {
 func TestHealthzAndStatsReportPersistence(t *testing.T) {
 	// Warm engine: synthesize, snapshot, reload into a fresh engine.
 	warm := engine.New(engine.Config{Workers: 2, CacheSize: 64, CacheShards: 8})
-	if res := warm.Do(engine.Request{Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"}}); !res.Ok() {
+	if res := warm.Do(context.Background(), engine.Request{Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"}}, nil); !res.Ok() {
 		t.Fatalf("warmup: %s", res.Error)
 	}
 	var snap bytes.Buffer
@@ -188,96 +208,56 @@ func TestHealthzAndStatsReportPersistence(t *testing.T) {
 		t.Fatalf("stats shards=%d entries=%d loaded=%d, want 8/1/1", st.CacheShards, st.CacheEntries, st.CacheLoaded)
 	}
 	// The loaded entry must serve as a hit, with no synthesis run.
-	resp, body := postJSON(t, ts.URL+"/v1/synthesize", engine.Request{
-		Function: engine.FunctionSpec{Name: "maj3"},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("synthesize status %d: %s", resp.StatusCode, body)
-	}
-	var res engine.Result
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatal(err)
-	}
+	res := jobResults(t, ts.URL, engine.Request{
+		Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"},
+	})[0]
 	if res.Synthesis == nil || !res.Synthesis.CacheHit {
-		t.Fatalf("warm-loaded function was not a cache hit: %s", body)
+		t.Fatalf("warm-loaded function was not a cache hit: %+v", res)
 	}
 }
 
 func TestSynthesizeEndpoint(t *testing.T) {
 	ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/synthesize", engine.Request{
-		Function: engine.FunctionSpec{Expr: "x1x2 + x1'x2'"},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var res engine.Result
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatal(err)
-	}
+	synth := engine.Request{Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Expr: "x1x2 + x1'x2'"}}
+	res := jobResults(t, ts.URL, synth)[0]
 	if res.Synthesis == nil || res.Synthesis.Area == 0 {
-		t.Fatalf("bad synthesis result: %s", body)
+		t.Fatalf("bad synthesis result: %+v", res)
 	}
 	if res.Synthesis.CacheHit {
 		t.Fatal("first request reported a cache hit")
 	}
 	// Same function again: must hit.
-	_, body = postJSON(t, ts.URL+"/v1/synthesize", engine.Request{
-		Function: engine.FunctionSpec{Expr: "x1x2 + x1'x2'"},
-	})
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatal(err)
+	if res = jobResults(t, ts.URL, synth)[0]; res.Synthesis == nil || !res.Synthesis.CacheHit {
+		t.Fatalf("second request missed the cache: %+v", res)
 	}
-	if !res.Synthesis.CacheHit {
-		t.Fatal("second request missed the cache")
-	}
-	// Compare rides the same endpoint.
-	resp, body = postJSON(t, ts.URL+"/v1/synthesize", engine.Request{
+	res = jobResults(t, ts.URL, engine.Request{
 		Kind:     engine.KindCompare,
 		Function: engine.FunctionSpec{Name: "maj3"},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compare status %d: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &res); err != nil || res.Compare == nil {
-		t.Fatalf("bad compare result (err %v): %s", err, body)
-	}
-	// Map requests are rejected here.
-	resp, _ = postJSON(t, ts.URL+"/v1/synthesize", engine.Request{
-		Kind:     engine.KindMap,
-		Function: engine.FunctionSpec{Name: "maj3"},
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("map on /v1/synthesize: status %d, want 400", resp.StatusCode)
+	})[0]
+	if res.Compare == nil {
+		t.Fatalf("bad compare result: %+v", res)
 	}
 }
 
 func TestMapEndpointValidation(t *testing.T) {
 	ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/map", engine.Request{
-		Function: engine.FunctionSpec{Name: "maj3"},
+	res := jobResults(t, ts.URL, engine.Request{
+		Function: engine.FunctionSpec{Name: "maj3"}, // kind defaults to map
 		Density:  0.05,
 		Seed:     1,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	})[0]
+	if res.Map == nil {
+		t.Fatalf("bad map result: %+v", res)
 	}
-	var res engine.Result
-	if err := json.Unmarshal(body, &res); err != nil || res.Map == nil {
-		t.Fatalf("bad map result (err %v): %s", err, body)
-	}
-	// Engine-level failures surface as 422 with the error in the body.
-	resp, body = postJSON(t, ts.URL+"/v1/map", engine.Request{
+	// Engine-level failures arrive as typed error events.
+	res = jobResults(t, ts.URL, engine.Request{
 		Function: engine.FunctionSpec{Name: "no-such-benchmark"},
-	})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status %d, want 422: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &res); err != nil || res.Error == "" {
-		t.Fatalf("missing error detail: %s", body)
+	})[0]
+	if res.Code != apierr.CodeBadSpec || res.Error == "" {
+		t.Fatalf("engine failure = %+v, want a bad_spec error event", res)
 	}
 	// Malformed JSON is a 400.
-	r, err := http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader([]byte("{nope")))
+	r, err := http.Post(ts.URL+"/v2/jobs", "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,13 +266,13 @@ func TestMapEndpointValidation(t *testing.T) {
 		t.Fatalf("malformed body: status %d, want 400", r.StatusCode)
 	}
 	// GET is not allowed.
-	g, err := http.Get(ts.URL + "/v1/map")
+	g, err := http.Get(ts.URL + "/v2/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Body.Close()
 	if g.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/map: status %d, want 405", g.StatusCode)
+		t.Fatalf("GET /v2/jobs: status %d, want 405", g.StatusCode)
 	}
 }
 
@@ -301,32 +281,17 @@ func TestMapEndpointValidation(t *testing.T) {
 // one underlying synthesis, deterministic results for fixed seeds.
 func TestBatchHundredChipsOneMiss(t *testing.T) {
 	ts := newTestServer(t)
-	var batch struct {
-		Requests []engine.Request `json:"requests"`
-	}
+	var batch []engine.Request
 	for i := 0; i < 100; i++ {
-		batch.Requests = append(batch.Requests, engine.Request{
+		batch = append(batch, engine.Request{
 			Kind:     engine.KindMap,
 			Function: engine.FunctionSpec{Name: "maj3"},
 			Density:  0.05,
 			Seed:     int64(i),
 		})
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/batch", batch)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var out struct {
-		Results []engine.Result `json:"results"`
-		Errors  int             `json:"errors"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != 100 || out.Errors != 0 {
-		t.Fatalf("got %d results, %d errors", len(out.Results), out.Errors)
-	}
-	for i, r := range out.Results {
+	results := jobResults(t, ts.URL, batch...)
+	for i, r := range results {
 		if r.Map == nil {
 			t.Fatalf("result %d has no map payload: %+v", i, r)
 		}
@@ -352,17 +317,10 @@ func TestBatchHundredChipsOneMiss(t *testing.T) {
 	// Determinism: a fresh server given the same batch returns the
 	// same results.
 	ts2 := newTestServer(t)
-	_, body2 := postJSON(t, ts2.URL+"/v1/batch", batch)
-	var out2 struct {
-		Results []engine.Result `json:"results"`
-		Errors  int             `json:"errors"`
-	}
-	if err := json.Unmarshal(body2, &out2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range out.Results {
-		a, _ := json.Marshal(out.Results[i])
-		b, _ := json.Marshal(out2.Results[i])
+	results2 := jobResults(t, ts2.URL, batch...)
+	for i := range results {
+		a, _ := json.Marshal(results[i])
+		b, _ := json.Marshal(results2[i])
 		if !bytes.Equal(a, b) {
 			t.Fatalf("result %d differs across servers:\n%s\n%s", i, a, b)
 		}
@@ -413,8 +371,8 @@ func TestPprofOptIn(t *testing.T) {
 		return st
 	}
 	before := getStats()
-	postJSON(t, tsp.URL+"/v1/synthesize", engine.Request{
-		Function: engine.FunctionSpec{Expr: "x1x2 + x2x3 + x1x3"},
+	jobResults(t, tsp.URL, engine.Request{
+		Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Expr: "x1x2 + x2x3 + x1x3"},
 	})
 	after := getStats()
 	if after.Evaluation.FastImplements <= before.Evaluation.FastImplements ||
@@ -426,49 +384,35 @@ func TestPprofOptIn(t *testing.T) {
 
 func TestBatchLimits(t *testing.T) {
 	ts := newTestServer(t)
-	resp, _ := postJSON(t, ts.URL+"/v1/batch", map[string]any{"requests": []engine.Request{}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty batch: status %d, want 400", resp.StatusCode)
+	code, evs := readEvents(t, ts.URL, nanoxbar.JobsRequest{Requests: []engine.Request{}})
+	if code != http.StatusBadRequest || evs[0].Error.Code != apierr.CodeBadSpec {
+		t.Fatalf("empty jobs: status %d %+v, want 400 bad_spec", code, evs[0].Error)
 	}
 	big := make([]engine.Request, maxBatchSize+1)
 	for i := range big {
 		big[i] = engine.Request{Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"}}
 	}
-	resp, _ = postJSON(t, ts.URL+"/v1/batch", map[string]any{"requests": big})
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized batch: status %d, want 413", resp.StatusCode)
+	code, evs = readEvents(t, ts.URL, nanoxbar.JobsRequest{Requests: big})
+	if code != http.StatusRequestEntityTooLarge || evs[0].Error.Code != apierr.CodeBadSpec {
+		t.Fatalf("oversized jobs: status %d %+v, want 413 bad_spec", code, evs[0].Error)
 	}
 }
 
 func TestBatchMixedKindsAndDefaulting(t *testing.T) {
 	ts := newTestServer(t)
-	batch := map[string]any{"requests": []engine.Request{
-		{Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"}},
-		{Function: engine.FunctionSpec{Name: "maj3"}, Density: 0.05, Seed: 3}, // kind defaults to map
-		{Kind: engine.KindYield, Function: engine.FunctionSpec{Name: "maj3"}, Density: 0.03, Chips: 10, ChipSize: 16, Seed: 4},
-		{Kind: engine.KindMap, Function: engine.FunctionSpec{Name: "not-a-benchmark"}},
-	}}
-	resp, body := postJSON(t, ts.URL+"/v1/batch", batch)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	res := jobResults(t, ts.URL,
+		engine.Request{Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"}},
+		engine.Request{Function: engine.FunctionSpec{Name: "maj3"}, Density: 0.05, Seed: 3}, // kind defaults to map
+		engine.Request{Kind: engine.KindYield, Function: engine.FunctionSpec{Name: "maj3"}, Density: 0.03, Chips: 10, ChipSize: 16, Seed: 4},
+		engine.Request{Kind: engine.KindMap, Function: engine.FunctionSpec{Name: "not-a-benchmark"}},
+	)
+	if res[0].Synthesis == nil || res[1].Map == nil || res[2].Yield == nil {
+		t.Fatalf("payloads not tied to their request index: %+v", res)
 	}
-	var out struct {
-		Results []engine.Result `json:"results"`
-		Errors  int             `json:"errors"`
+	if res[2].Yield.Chips != 10 {
+		t.Fatalf("yield chips %d, want 10", res[2].Yield.Chips)
 	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Errors != 1 {
-		t.Fatalf("errors=%d, want 1: %s", out.Errors, body)
-	}
-	if out.Results[0].Synthesis == nil || out.Results[1].Map == nil || out.Results[2].Yield == nil {
-		t.Fatalf("payloads out of order: %s", body)
-	}
-	if out.Results[3].Error == "" {
-		t.Fatal("failed request lost its error")
-	}
-	if fmt.Sprintf("%v", out.Results[2].Yield.Chips) != "10" {
-		t.Fatalf("yield chips %v, want 10", out.Results[2].Yield.Chips)
+	if res[3].Error == "" || res[3].Code != apierr.CodeBadSpec {
+		t.Fatalf("failed request lost its error: %+v", res[3])
 	}
 }

@@ -62,7 +62,7 @@ func (w *statusWriter) Flush() {
 // instrument wraps a route handler with the ingress middleware. Every
 // request gets a request ID — the client's X-Request-ID when it passes
 // telemetry.SanitizeRequestID, a freshly minted one otherwise — carried
-// in the context (so engine logs and v2 stream frames can echo it) and
+// in the context (so engine logs and stream frames can echo it) and
 // on the response header. The path label is the mux pattern, not the
 // raw URL, so metric cardinality stays bounded by the route table.
 func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
@@ -104,7 +104,7 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// requireGET rejects non-GET methods with a structured 405 in the v2
+// requireGET rejects non-GET methods with a structured 405 in the one
 // error shape, shared by the three read-only endpoints.
 func requireGET(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {

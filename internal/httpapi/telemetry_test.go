@@ -2,7 +2,9 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -26,20 +28,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Two synthesize calls of the same function (miss then hit), one
 	// per-chip map: populates request histograms, cache counters, and
 	// the fault path.
-	for i := 0; i < 2; i++ {
-		resp, _ := postJSON(t, ts.URL+"/v1/synthesize", engine.Request{
-			Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"},
-		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("synthesize status %d", resp.StatusCode)
+	for _, req := range []engine.Request{
+		{Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"}},
+		{Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"}},
+		{Kind: engine.KindMap, Function: engine.FunctionSpec{Name: "maj3"}, Seed: 7, Density: 0.03},
+	} {
+		if res := jobResults(t, ts.URL, req)[0]; !res.Ok() {
+			t.Fatalf("%s: %s", req.Kind, res.Error)
 		}
-	}
-	resp, _ := postJSON(t, ts.URL+"/v1/map", engine.Request{
-		Kind: engine.KindMap, Function: engine.FunctionSpec{Name: "maj3"},
-		Seed: 7, Density: 0.03,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("map status %d", resp.StatusCode)
 	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")
@@ -101,11 +97,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("requests_total{synthesize} = %v (found %v), want 2", v, ok)
 	}
 	// HTTP-layer families: route-labeled latency and status counters.
-	if _, ok := exp.Histogram("nanoxbar_http_request_duration_seconds", map[string]string{"path": "/v1/map"}); !ok {
-		t.Error("no HTTP duration histogram for /v1/map")
+	if _, ok := exp.Histogram("nanoxbar_http_request_duration_seconds", map[string]string{"path": "/v2/jobs"}); !ok {
+		t.Error("no HTTP duration histogram for /v2/jobs")
 	}
-	if v, ok := exp.Value("nanoxbar_http_requests_total", map[string]string{"path": "/v1/synthesize", "status": "200"}); !ok || v != 2 {
-		t.Errorf("http_requests_total{/v1/synthesize,200} = %v (found %v), want 2", v, ok)
+	if v, ok := exp.Value("nanoxbar_http_requests_total", map[string]string{"path": "/v2/jobs", "status": "200"}); !ok || v != 3 {
+		t.Errorf("http_requests_total{/v2/jobs,200} = %v (found %v), want 3", v, ok)
 	}
 	// Runtime + server identity families.
 	if v, ok := exp.Value("go_goroutines", nil); !ok || v < 1 {
@@ -213,8 +209,8 @@ func TestRequestIDPropagation(t *testing.T) {
 	ts, logs := newLoggedServer(t)
 	const id = "conformance-trace-0042"
 
-	body := strings.NewReader(`{"kind":"synthesize","function":{"name":"maj3"}}`)
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/synthesize", body)
+	body := strings.NewReader(`{"requests":[{"kind":"synthesize","function":{"name":"maj3"}}]}`)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/jobs", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +219,9 @@ func TestRequestIDPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Read the stream to its end: the access log line is written when
+	// the handler returns, which the end of the stream proves.
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if got := resp.Header.Get("X-Request-ID"); got != id {
 		t.Fatalf("echoed request ID %q, want %q", got, id)
@@ -234,8 +233,8 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 
 	// No header → a 16-hex-char ID is minted and echoed.
-	resp2, err := http.Post(ts.URL+"/v1/synthesize", "application/json",
-		strings.NewReader(`{"kind":"synthesize","function":{"name":"maj3"}}`))
+	resp2, err := http.Post(ts.URL+"/v2/jobs", "application/json",
+		strings.NewReader(`{"requests":[{"kind":"synthesize","function":{"name":"maj3"}}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +311,7 @@ func TestMetricsRoundTripThroughParser(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// A little traffic so histograms are non-empty.
-	if res := eng.Do(engine.Request{Kind: engine.KindYield, Function: engine.FunctionSpec{Name: "maj3"}, Chips: 2, Seed: 3, Density: 0.02}); !res.Ok() {
+	if res := eng.Do(context.Background(), engine.Request{Kind: engine.KindYield, Function: engine.FunctionSpec{Name: "maj3"}, Chips: 2, Seed: 3, Density: 0.02}, nil); !res.Ok() {
 		t.Fatalf("yield failed: %v", res.Error)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")

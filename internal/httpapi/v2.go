@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -13,7 +14,7 @@ import (
 	"nanoxbar/pkg/nanoxbar"
 )
 
-// The v2 API: POST /v2/jobs takes a nanoxbar.JobsRequest and responds
+// The work API: POST /v2/jobs takes a nanoxbar.JobsRequest and responds
 // with an NDJSON event stream (nanoxbar.Event per line). Results are
 // flushed the moment their worker finishes — completion order, not
 // submission order — so a batch of per-chip mappings streams back
@@ -22,8 +23,10 @@ import (
 // into the engine: a dropped connection cancels queued requests and
 // stops in-flight sweeps at the next die boundary.
 
-// v2Error writes a structured non-streaming error body
-// ({"error":{code,message}}) for failures that precede the stream.
+// v2Error writes the server's one error body, a nanoxbar.ErrorResponse
+// ({"error":{code,message}}). Every non-2xx response uses it: body
+// failures that precede a stream, drain and shed rejections, panics,
+// and ops-route errors.
 func v2Error(w http.ResponseWriter, status int, code, format string, args ...any) {
 	writeJSON(w, status, nanoxbar.ErrorResponse{Error: nanoxbar.WireError{
 		Code:    code,
@@ -73,8 +76,13 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	var jobs nanoxbar.JobsRequest
 	if err := decodeBody(w, r, &jobs); err != nil {
-		status, code, msg := classifyDecodeError(err)
-		v2Error(w, status, code, "%s", msg)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			v2Error(w, http.StatusRequestEntityTooLarge, apierr.CodeBadSpec,
+				"request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
+		v2Error(w, http.StatusBadRequest, apierr.CodeBadSpec, "bad request body: %v", err)
 		return
 	}
 	if len(jobs.Requests) == 0 {
@@ -110,9 +118,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		es.send(nanoxbar.Event{Type: nanoxbar.EventResult, Index: i, Result: &res})
 	}
 
-	// Cluster routing: synthesis requests in the batch take the same
-	// forward → failover → local-degrade ladder as /v1/synthesize, each
-	// on its own goroutine so a slow forward never stalls the local
+	// Cluster routing: synthesis requests in the batch take the
+	// forward → failover → local-degrade ladder (cluster.RouteSynthesize),
+	// each on its own goroutine so a slow forward never stalls the local
 	// stream. Indices into the original batch are preserved, so frames
 	// interleave transparently. Everything else — and every request on
 	// an already-forwarded stream (loop marker) — runs locally.
@@ -136,7 +144,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 				defer routeWG.Done()
 				res, handled := s.cluster.RouteSynthesize(r.Context(), req)
 				if !handled {
-					res = s.eng.DoCtx(r.Context(), req)
+					res = s.eng.Do(r.Context(), req, nil)
 				}
 				emit(i, res)
 			}(i, req)
@@ -153,7 +161,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(submit) > 0 {
-		s.eng.SubmitStream(r.Context(), submit, func(i int, res engine.Result) {
+		s.eng.Submit(r.Context(), submit, func(i int, res engine.Result) {
 			emit(orig[i], res)
 		}, onDie)
 	}

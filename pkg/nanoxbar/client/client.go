@@ -19,6 +19,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -173,10 +174,7 @@ func (c *Client) do(ctx context.Context, kind nanoxbar.Kind, f nanoxbar.Function
 				onDie(nanoxbar.Die{Index: ev.Die, Map: ev.DieMap, Err: ev.DieError.Err()})
 			}
 		case nanoxbar.EventResult:
-			if ev.Result != nil {
-				res = *ev.Result
-				resolved = true
-			}
+			res, resolved = *ev.Result, true
 		case nanoxbar.EventError:
 			resErr = ev.Error.Err()
 			resolved = true
@@ -188,19 +186,43 @@ func (c *Client) do(ctx context.Context, kind nanoxbar.Kind, f nanoxbar.Function
 	if resErr != nil {
 		return res, resErr
 	}
+	// Protocol violations — done with no result/error event for the
+	// request, or a result without the payload its kind promises — must
+	// not surface as a nil-payload success.
 	if !resolved {
-		// A protocol violation (done with no result/error event for the
-		// request) must not surface as a nil-payload success.
 		return res, nanoxbar.ErrorFromCode(nanoxbar.CodeInternal, "client: stream completed without a result for the request")
 	}
-	return res, res.TypedErr()
+	if err := res.TypedErr(); err != nil {
+		return res, err
+	}
+	if !hasPayload(kind, res) {
+		return res, nanoxbar.ErrorFromCode(nanoxbar.CodeInternal, fmt.Sprintf("client: %s result carries no payload", kind))
+	}
+	return res, nil
+}
+
+// hasPayload reports whether a successful res carries its kind's payload.
+func hasPayload(kind nanoxbar.Kind, res nanoxbar.Result) bool {
+	switch kind {
+	case nanoxbar.KindSynthesize:
+		return res.Synthesis != nil
+	case nanoxbar.KindCompare:
+		return res.Compare != nil
+	case nanoxbar.KindMap:
+		return res.Map != nil
+	default:
+		return res.Yield != nil
+	}
 }
 
 // Jobs submits a batch to POST /v2/jobs, invoking handle for every
 // stream event in arrival order (completion order server-side). It
 // returns when the terminating "done" event has been consumed, the
 // context is canceled, or the stream fails. Request-level failures are
-// delivered as EventError events, not as a Jobs error.
+// delivered as EventError events, not as a Jobs error. Every delivered
+// event carries the payload its type promises: a result event its
+// Result, an error event a coded Error, a die event its map or error; a
+// frame that does not fails the stream.
 //
 // With WithResilience, a submission that fails before any event was
 // delivered to handle is retried (the server observed at most a request
@@ -259,7 +281,13 @@ func (c *Client) jobsOnce(ctx context.Context, payload []byte, handle func(nanox
 			return nanoxbar.ErrorFromCode(nanoxbar.CodeUnavailable, fmt.Sprintf("client: bad stream line: %v", err))
 		}
 		if ev.Type == nanoxbar.EventDone {
+			// Read the (normally empty) remainder to EOF so net/http
+			// returns the keep-alive connection to the pool.
+			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxEventBytes))
 			return nil
+		}
+		if !wellFormed(ev) {
+			return nanoxbar.ErrorFromCode(nanoxbar.CodeInternal, fmt.Sprintf("client: %s frame without its payload", ev.Type))
 		}
 		handle(ev)
 	}
@@ -272,6 +300,20 @@ func (c *Client) jobsOnce(ctx context.Context, payload []byte, handle func(nanox
 		return c.transportErr(ctx, err)
 	}
 	return nanoxbar.ErrorFromCode(nanoxbar.CodeUnavailable, "client: stream ended without done event")
+}
+
+// wellFormed reports whether ev carries the payload its type promises.
+// Unknown event types pass, so a newer server can add them.
+func wellFormed(ev nanoxbar.Event) bool {
+	switch ev.Type {
+	case nanoxbar.EventResult:
+		return ev.Result != nil
+	case nanoxbar.EventError:
+		return ev.Error != nil && ev.Error.Code != ""
+	case nanoxbar.EventDie:
+		return ev.DieMap != nil || (ev.DieError != nil && ev.DieError.Code != "")
+	}
+	return true
 }
 
 // setRequestID forwards the request ID carried by the request context
@@ -295,27 +337,16 @@ func (c *Client) transportErr(ctx context.Context, err error) error {
 	return nanoxbar.ErrorFromCode(nanoxbar.CodeUnavailable, fmt.Sprintf("client: %v", err))
 }
 
-// decodeErrorBody turns a non-200 response into its typed error. It
-// accepts both wire shapes — the v2 {"error":{code,message}} object and
-// the v1/middleware {"error":message,"code":code} flat form — and
-// attaches the Retry-After header (when present) as a backoff hint for
-// the resilience layer.
+// decodeErrorBody turns a non-200 response into its typed error: the
+// nanoxbar.ErrorResponse body every server error uses, or the internal
+// class when the body is not one. It attaches the Retry-After header
+// (when present) as a backoff hint for the resilience layer.
 func (c *Client) decodeErrorBody(resp *http.Response) error {
-	var raw struct {
-		Error json.RawMessage `json:"error"`
-		Code  string          `json:"code"`
-	}
 	err := nanoxbar.ErrorFromCode(nanoxbar.CodeInternal,
 		fmt.Sprintf("client: server status %d", resp.StatusCode))
-	if derr := json.NewDecoder(resp.Body).Decode(&raw); derr == nil && len(raw.Error) > 0 {
-		var wire nanoxbar.WireError
-		var msg string
-		switch {
-		case json.Unmarshal(raw.Error, &wire) == nil && wire.Code != "":
-			err = wire.Err()
-		case json.Unmarshal(raw.Error, &msg) == nil && raw.Code != "":
-			err = nanoxbar.ErrorFromCode(raw.Code, msg)
-		}
+	var er nanoxbar.ErrorResponse
+	if json.NewDecoder(resp.Body).Decode(&er) == nil && er.Error.Code != "" {
+		err = er.Error.Err()
 	}
 	return c.withRetryAfterHint(resp, err)
 }

@@ -118,7 +118,7 @@ func (c *Client) Stats() Stats { return c.eng.Stats() }
 // the (payload, error) shape of the public API.
 func (c *Client) do(ctx context.Context, kind Kind, f FunctionSpec, opts []Option) (Result, error) {
 	req, onDie := BuildRequest(kind, f, opts...)
-	res := c.eng.DoStream(ctx, req, engineDieFunc(onDie))
+	res := c.eng.Do(ctx, req, engineDieFunc(onDie))
 	return res, res.TypedErr()
 }
 

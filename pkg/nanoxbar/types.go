@@ -6,7 +6,7 @@ import (
 
 // The request/result vocabulary of the serving API. These are aliases
 // of the engine's wire types: the same structs travel in-process, over
-// the v1 and v2 HTTP APIs, and in batch files, so local and remote
+// the /v2/jobs HTTP protocol, and in batch files, so local and remote
 // callers are bit-for-bit interchangeable.
 type (
 	// Kind selects the scenario a Request runs ("synthesize",
@@ -18,7 +18,7 @@ type (
 	FunctionSpec = engine.FunctionSpec
 	// Request is one unit of work in wire form. SDK callers usually
 	// build it through Options; it is exported for batch submission
-	// and the v2 jobs protocol.
+	// over the /v2/jobs protocol.
 	Request = engine.Request
 	// Result is the wire outcome of one Request.
 	Result = engine.Result
