@@ -168,7 +168,9 @@ func decodeImp(w wireImp) (*core.Implementation, error) {
 		if wl == nil {
 			return nil, fmt.Errorf("cachestore: four-terminal entry without lattice")
 		}
-		if wl.R < 1 || wl.C < 1 || wl.R*wl.C != len(wl.Sites) {
+		// Bounding each side by the site count first keeps R*C from
+		// overflowing into a match.
+		if n := len(wl.Sites); wl.R < 1 || wl.C < 1 || wl.R > n || wl.C > n || wl.R*wl.C != n {
 			return nil, fmt.Errorf("cachestore: lattice shape %d×%d does not match %d sites", wl.R, wl.C, len(wl.Sites))
 		}
 		l := lattice.New(wl.R, wl.C)

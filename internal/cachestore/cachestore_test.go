@@ -155,6 +155,7 @@ func TestCorruptEntriesRejected(t *testing.T) {
 		{"unknown tech", wireImp{Tech: "quantum"}, "technology"},
 		{"4t without lattice", wireImp{Tech: "lattice", Rows: 2, Cols: 2}, "without lattice"},
 		{"shape mismatch", wireImp{Tech: "lattice", Lattice: &wireLattice{R: 2, C: 2, Sites: make([]wireSite, 3)}}, "sites"},
+		{"overflowing shape", wireImp{Tech: "lattice", Lattice: &wireLattice{R: 1 << 32, C: 1 << 32}}, "sites"},
 		{"bad site kind", wireImp{Tech: "lattice", Lattice: &wireLattice{R: 1, C: 1, Sites: []wireSite{{Kind: 9}}}}, "site kind"},
 		{"bad site var", wireImp{Tech: "lattice", Lattice: &wireLattice{R: 1, C: 1, Sites: []wireSite{{Kind: 2, Var: 77}}}}, "variable"},
 	}

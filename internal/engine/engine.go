@@ -37,13 +37,8 @@ import (
 type Config struct {
 	// Workers is the size of the worker pool (default runtime.NumCPU()).
 	Workers int
-	// CacheSize bounds the synthesis LRU entry count (default 1024),
-	// summed across shards.
+	// CacheSize bounds the synthesis LRU entry count (default 1024).
 	CacheSize int
-	// CacheShards is the number of independent cache shards (rounded up
-	// to a power of two). Default: the smallest power of two ≥ 4×Workers,
-	// capped at 256 — enough stripes that hit traffic rarely contends.
-	CacheShards int
 	// Logger receives per-request debug logs (kind, duration, outcome,
 	// request ID when the context carries one). Nil discards.
 	Logger *slog.Logger
@@ -91,7 +86,7 @@ const (
 // worker pool. It is safe for concurrent use; Close releases the
 // workers (no Do/Submit may follow Close).
 type Engine struct {
-	cache        *shardedCache
+	cache        *cache
 	pool         *pool
 	workers      int
 	maxQueueWait time.Duration
@@ -175,9 +170,6 @@ func New(cfg Config) *Engine {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 1024
 	}
-	if cfg.CacheShards <= 0 {
-		cfg.CacheShards = defaultCacheShards(cfg.Workers)
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
@@ -185,7 +177,7 @@ func New(cfg Config) *Engine {
 		cfg.Yield = yield.LaneRunner{}
 	}
 	e := &Engine{
-		cache:        newShardedCache(cfg.CacheSize, cfg.CacheShards),
+		cache:        newCache(cfg.CacheSize),
 		pool:         newPool(cfg.Workers, cfg.QueueDepth),
 		workers:      cfg.Workers,
 		maxQueueWait: cfg.MaxQueueWait,
@@ -202,21 +194,6 @@ func New(cfg Config) *Engine {
 // stats — for the daemon's /metrics endpoint. The HTTP layer registers
 // its own families on the same registry.
 func (e *Engine) Registry() *telemetry.Registry { return e.met.reg }
-
-// defaultCacheShards picks the shard count for a pool of `workers`
-// goroutines: 4× oversubscription keeps the probability of two hot
-// lookups colliding on one shard's mutex low, capped so tiny caches are
-// not shredded into hundreds of near-empty LRUs.
-func defaultCacheShards(workers int) int {
-	n := 4 * workers
-	if n < 8 {
-		n = 8
-	}
-	if n > 256 {
-		n = 256
-	}
-	return n
-}
 
 // Close stops the worker pool after draining queued jobs.
 func (e *Engine) Close() { e.pool.close() }
@@ -238,10 +215,15 @@ func (e *Engine) synthKeyed(ctx context.Context, f truthtab.TT, tech core.Techno
 	imp, err, hit := e.cache.getOrCompute(key, func() (*core.Implementation, error) {
 		// Cluster peer fill: a cold slot may be warm in the key owner's
 		// cache. Runs detached from the caller's context for the same
-		// reason the synthesis does — the flight's result is shared.
+		// reason the synthesis does — the flight's result is shared. A
+		// peer's answer is checked against f before it enters the cache;
+		// a wrong one is counted and synthesized locally instead.
 		if fill := e.peerFill.Load(); fill != nil {
 			if imp := (*fill)(context.WithoutCancel(ctx), key); imp != nil {
-				return imp, nil
+				if imp.Tech == tech && imp.Verify(f) {
+					return imp, nil
+				}
+				e.met.peerRejected.Inc()
 			}
 		}
 		e.synthCalls.Add(1)
@@ -718,7 +700,6 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 // the daemon's /stats endpoint.
 type Stats struct {
 	Workers        int    `json:"workers"`
-	CacheShards    int    `json:"cache_shards"`
 	CacheCapacity  int    `json:"cache_capacity"`
 	CacheEntries   int    `json:"cache_entries"`
 	CacheHits      uint64 `json:"cache_hits"`
@@ -765,7 +746,7 @@ type Stats struct {
 
 // Stats returns the current counters.
 func (e *Engine) Stats() Stats {
-	hits, misses, evictions, loads, entries := e.cache.counters()
+	cs := e.cache.stats()
 	dies, attempts := e.diesMapped.Load(), e.mapAttempts.Load()
 	mean := 0.0
 	if dies > 0 {
@@ -780,13 +761,12 @@ func (e *Engine) Stats() Stats {
 		DiesDemotedScalar:   e.diesDemoted.Load(),
 		Evaluation:          lattice.CounterSnapshot(),
 		Workers:             e.workers,
-		CacheShards:         len(e.cache.shards),
-		CacheCapacity:       e.cache.capacity(),
-		CacheEntries:        entries,
-		CacheHits:           hits,
-		CacheMisses:         misses,
-		CacheEvictions:      evictions,
-		CacheLoaded:         loads,
+		CacheCapacity:       e.cache.capacity,
+		CacheEntries:        cs.entries,
+		CacheHits:           cs.hits,
+		CacheMisses:         cs.misses,
+		CacheEvictions:      cs.evictions,
+		CacheLoaded:         cs.loads,
 		SynthCalls:          e.synthCalls.Load(),
 		Requests:            e.requests.Load(),
 		Failures:            e.failures.Load(),

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"nanoxbar/internal/benchfn"
 	"nanoxbar/internal/core"
 	"nanoxbar/internal/defect"
+	"nanoxbar/internal/telemetry"
 )
 
 // submitBatch runs reqs through Submit and returns their results in
@@ -323,5 +326,105 @@ func TestConcurrentBatches(t *testing.T) {
 	// batches raced.
 	if st := e.Stats(); st.SynthCalls != 4 {
 		t.Fatalf("synth calls=%d, want 4", st.SynthCalls)
+	}
+}
+
+// distinctSynth returns n synthesize requests for n distinct 3-input
+// functions, each a separate cache key.
+func distinctSynth(n int) []Request {
+	reqs := make([]Request, n)
+	for i := range reqs {
+		reqs[i] = Request{Kind: KindSynthesize, Tech: "diode",
+			Function: FunctionSpec{TT: fmt.Sprintf("3:0x%02x", i+1)}}
+	}
+	return reqs
+}
+
+// TestCacheHoldsItsConfiguredSize pins the capacity rule: a cache of
+// CacheSize entries holds that many distinct keys without evicting any.
+func TestCacheHoldsItsConfiguredSize(t *testing.T) {
+	const size = 64
+	e := New(Config{Workers: 2, CacheSize: size})
+	defer e.Close()
+	reqs := distinctSynth(size)
+	for i, res := range submitBatch(context.Background(), e, reqs) {
+		if !res.Ok() {
+			t.Fatalf("request %d: %s", i, res.Error)
+		}
+	}
+	if st := e.Stats(); st.CacheEvictions != 0 || st.CacheEntries != size {
+		t.Fatalf("evictions=%d entries=%d, want 0/%d", st.CacheEvictions, st.CacheEntries, size)
+	}
+	for i, req := range reqs {
+		key, err := e.KeyFor(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := e.PeekCached(key); !ok {
+			t.Fatalf("key %d of %d evicted from a %d-entry cache", i, size, size)
+		}
+	}
+}
+
+// TestPeerFillVerified: a peer answer that does not implement the
+// requested function (or is for another technology) is refused and
+// counted, and the engine synthesizes locally; a correct one is cached
+// as is.
+func TestPeerFillVerified(t *testing.T) {
+	opts := core.DefaultOptions()
+	maj, parity := benchfn.Majority(3).F, benchfn.Parity(3).F
+	wrongFunc, err := core.Synthesize(parity, core.FourTerminal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrongTech, err := core.Synthesize(maj, core.Diode, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	right, err := core.Synthesize(maj, core.FourTerminal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		peer      *core.Implementation
+		synth     uint64
+		rejected  float64
+		fromCache bool
+	}{
+		{"wrong function", wrongFunc, 1, 1, false},
+		{"wrong technology", wrongTech, 1, 1, false},
+		{"correct", right, 0, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(Config{Workers: 2, CacheSize: 8})
+			defer e.Close()
+			e.SetPeerFill(func(context.Context, string) *core.Implementation { return tc.peer })
+			got, _, _, err := e.synthKeyed(context.Background(), maj, core.FourTerminal, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Verify(maj) || got.Tech != core.FourTerminal {
+				t.Fatal("served implementation does not compute the requested function")
+			}
+			if (got == tc.peer) != tc.fromCache {
+				t.Fatalf("served the peer's implementation: %v, want %v", got == tc.peer, tc.fromCache)
+			}
+			if n := e.Stats().SynthCalls; n != tc.synth {
+				t.Fatalf("synth_calls=%d, want %d", n, tc.synth)
+			}
+			var buf bytes.Buffer
+			if err := e.Registry().WriteText(&buf); err != nil {
+				t.Fatal(err)
+			}
+			exp, err := telemetry.ParseExposition(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, ok := exp.Value("nanoxbar_cache_rejected_total", map[string]string{"source": "peer"})
+			if !ok || v != tc.rejected {
+				t.Fatalf("cache_rejected_total{source=peer} = %v (found %v), want %v", v, ok, tc.rejected)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strconv"
 	"time"
 
 	"nanoxbar/internal/lattice"
@@ -46,6 +45,7 @@ const (
 	metricCacheEvictions       = "nanoxbar_cache_evictions_total"
 	metricCacheLoaded          = "nanoxbar_cache_loaded_total"
 	metricCacheEntries         = "nanoxbar_cache_entries"
+	metricCacheRejected        = "nanoxbar_cache_rejected_total"
 	metricLatticeScalarEvals   = "nanoxbar_lattice_scalar_evals_total"
 	metricLatticeFastFunctions = "nanoxbar_lattice_fast_functions_total"
 	metricLatticeFastImpl      = "nanoxbar_lattice_fast_implements_total"
@@ -54,7 +54,7 @@ const (
 
 // engineMetrics holds the engine's telemetry handles. The histograms
 // are observed on the hot path (lock-free, allocation-free); everything
-// read from existing atomics or shard counters registers as a
+// read from existing atomics or cache counters registers as a
 // scrape-time closure so the counters are not maintained twice.
 type engineMetrics struct {
 	reg *telemetry.Registry
@@ -69,6 +69,9 @@ type engineMetrics struct {
 	dieMap      *telemetry.Histogram
 
 	inflight *telemetry.Gauge
+
+	// peerRejected counts peer fills that failed verification.
+	peerRejected *telemetry.Counter
 }
 
 // kindIndex maps a request kind onto the byKind/reqDur slot, -1 for
@@ -89,7 +92,7 @@ func kindIndex(k Kind) int {
 
 // newEngineMetrics builds the engine's registry: request and stage
 // histograms (observed by the engine), counters mirrored from the
-// engine's atomics, per-shard cache families walked at scrape time, the
+// engine's atomics, cache families read at scrape time, the
 // process-wide lattice evaluation counters, and the Go runtime set.
 func newEngineMetrics(e *Engine) *engineMetrics {
 	reg := telemetry.NewRegistry()
@@ -134,26 +137,24 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	reg.GaugeFunc(metricWorkers, "Worker pool size.",
 		func() float64 { return float64(e.workers) })
 
-	// Per-shard cache families. Each family snapshots the shards at
-	// scrape time (one mutex hop per shard), so the hot-path cache code
-	// keeps its existing plain counters.
-	cacheFamily := func(name, help, typ string, v func(cacheShardStats) float64) {
-		reg.Collect(name, help, typ, func(emit func(string, float64)) {
-			for i, st := range e.cache.perShard() {
-				emit(telemetry.Label("shard", strconv.Itoa(i)), v(st))
-			}
-		})
+	// Cache families, read under the cache lock at scrape time so the
+	// hot-path cache code keeps its plain counters.
+	cacheStat := func(v func(cacheStats) uint64) func() float64 {
+		return func() float64 { return float64(v(e.cache.stats())) }
 	}
-	cacheFamily(metricCacheHits, "Cache hits by shard.", "counter",
-		func(st cacheShardStats) float64 { return float64(st.hits) })
-	cacheFamily(metricCacheMisses, "Cache misses by shard.", "counter",
-		func(st cacheShardStats) float64 { return float64(st.misses) })
-	cacheFamily(metricCacheEvictions, "Cache evictions by shard.", "counter",
-		func(st cacheShardStats) float64 { return float64(st.evictions) })
-	cacheFamily(metricCacheLoaded, "Cache entries seeded from a snapshot, by shard.", "counter",
-		func(st cacheShardStats) float64 { return float64(st.loads) })
-	cacheFamily(metricCacheEntries, "Live cache entries by shard.", "gauge",
-		func(st cacheShardStats) float64 { return float64(st.entries) })
+	reg.CounterFunc(metricCacheHits, "Synthesis cache hits.",
+		cacheStat(func(s cacheStats) uint64 { return s.hits }))
+	reg.CounterFunc(metricCacheMisses, "Synthesis cache misses.",
+		cacheStat(func(s cacheStats) uint64 { return s.misses }))
+	reg.CounterFunc(metricCacheEvictions, "Synthesis cache evictions.",
+		cacheStat(func(s cacheStats) uint64 { return s.evictions }))
+	reg.CounterFunc(metricCacheLoaded, "Cache entries seeded from a snapshot.",
+		cacheStat(func(s cacheStats) uint64 { return s.loads }))
+	reg.GaugeFunc(metricCacheEntries, "Live synthesis cache entries.",
+		cacheStat(func(s cacheStats) uint64 { return uint64(s.entries) }))
+	m.peerRejected = reg.Counter(metricCacheRejected,
+		"Cache fills refused because the implementation did not verify against its function, by source.",
+		"source", "peer")
 
 	// Process-wide lattice evaluation counters — the synthesis hot
 	// path's work units, already tracked by internal/lattice.

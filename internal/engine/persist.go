@@ -15,14 +15,14 @@ import (
 // WriteCacheSnapshot streams the completed cache entries to w. Entries
 // still in flight are skipped — only finished results persist.
 func (e *Engine) WriteCacheSnapshot(w io.Writer) (int, error) {
-	entries := snapshotEntries(e.cache)
+	entries := e.cache.snapshot()
 	return len(entries), cachestore.Write(w, core.Fingerprint(), entries)
 }
 
 // SaveCacheSnapshot atomically writes the cache to path, returning the
 // number of entries persisted.
 func (e *Engine) SaveCacheSnapshot(path string) (int, error) {
-	entries := snapshotEntries(e.cache)
+	entries := e.cache.snapshot()
 	return len(entries), cachestore.Save(path, core.Fingerprint(), entries)
 }
 
@@ -55,13 +55,4 @@ func (e *Engine) seed(entries []cachestore.Entry) int {
 		}
 	}
 	return n
-}
-
-func snapshotEntries(c *shardedCache) []cachestore.Entry {
-	snap := c.snapshot()
-	entries := make([]cachestore.Entry, len(snap))
-	for i, s := range snap {
-		entries[i] = cachestore.Entry{Key: s.Key, Imp: s.Imp}
-	}
-	return entries
 }

@@ -157,3 +157,44 @@ func TestLoadSnapshotMissingFile(t *testing.T) {
 		t.Fatal("loading a missing snapshot succeeded")
 	}
 }
+
+// TestSnapshotKeepsGlobalRecency: a snapshot replays least recently
+// used first, so loading it into a smaller cache keeps exactly the most
+// recently used keys of the engine that saved it.
+func TestSnapshotKeepsGlobalRecency(t *testing.T) {
+	const n, k = 12, 4
+	reqs := distinctSynth(n)
+	e1 := New(Config{Workers: 2, CacheSize: 64})
+	// Touch every key in order, then re-touch the first two: the k most
+	// recent are reqs[1], reqs[0], reqs[n-1], reqs[n-2].
+	for _, req := range append(reqs, reqs[0], reqs[1]) {
+		if res := e1.Do(context.Background(), req, nil); !res.Ok() {
+			t.Fatalf("warmup: %s", res.Error)
+		}
+	}
+	var buf bytes.Buffer
+	_, err := e1.WriteCacheSnapshot(&buf)
+	e1.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := New(Config{Workers: 2, CacheSize: k})
+	defer e2.Close()
+	if _, err := e2.ReadCacheSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if st := e2.Stats(); st.CacheEntries != k {
+		t.Fatalf("entries=%d, want %d", st.CacheEntries, k)
+	}
+	recent := map[int]bool{1: true, 0: true, n - 1: true, n - 2: true}
+	for i, req := range reqs {
+		key, err := e2.KeyFor(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := e2.PeekCached(key); ok != recent[i] {
+			t.Errorf("key %d cached=%v, want %v", i, ok, recent[i])
+		}
+	}
+}

@@ -75,20 +75,27 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("stage_duration{stage=%q} count = %d, want >= %d", stage, h.Count, min)
 		}
 	}
-	// Counter families mirrored from engine atomics and cache shards.
-	sumFamily := func(name string) (total float64) {
+	// Counter families mirrored from engine atomics and the cache. Each
+	// cache family is one unlabeled series.
+	for name, min := range map[string]float64{
+		"nanoxbar_cache_hits_total":      2,
+		"nanoxbar_cache_misses_total":    1,
+		"nanoxbar_cache_evictions_total": 0,
+		"nanoxbar_cache_loaded_total":    0,
+		"nanoxbar_cache_entries":         1,
+	} {
+		n := 0
 		for _, s := range exp.Samples {
 			if s.Name == name {
-				total += s.Value
+				n++
+				if len(s.Labels) != 0 || s.Value < min {
+					t.Errorf("%s sample %+v, want unlabeled and >= %v", name, s, min)
+				}
 			}
 		}
-		return total
-	}
-	if v := sumFamily("nanoxbar_cache_hits_total"); v < 2 {
-		t.Errorf("cache hits = %v, want >= 2", v)
-	}
-	if v := sumFamily("nanoxbar_cache_misses_total"); v < 1 {
-		t.Errorf("cache misses = %v, want >= 1", v)
+		if n != 1 {
+			t.Errorf("%s has %d series, want 1", name, n)
+		}
 	}
 	if v, ok := exp.Value("nanoxbar_dies_mapped_total", nil); !ok || v != 1 {
 		t.Errorf("dies mapped = %v (found %v), want 1", v, ok)

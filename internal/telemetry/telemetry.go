@@ -20,7 +20,7 @@
 // Metrics are registered once at construction time with their full
 // label set pre-rendered (labels are static — per-kind, per-stage,
 // per-endpoint — never per-request), then observed through the returned
-// handle. Scrape-time values (pool sizes, per-shard cache counters,
+// handle. Scrape-time values (pool sizes, cache counters,
 // runtime stats) register closures instead, sampled only when /metrics
 // is hit.
 package telemetry
@@ -109,7 +109,7 @@ type family struct {
 	name, help, typ string
 	series          []*series
 	// collect, when non-nil, emits dynamically labeled samples at
-	// scrape time (e.g. one per cache shard); static series render
+	// scrape time (e.g. one per cluster member state); static series render
 	// first, then collected ones.
 	collect func(emit func(labels string, v float64))
 	// collectHist, when non-nil, snapshots an externally maintained
@@ -215,7 +215,7 @@ func (r *Registry) registerFunc(name, help, typ string, fn func() float64, label
 }
 
 // Collect registers a whole family whose samples are produced at scrape
-// time with dynamic labels (e.g. one sample per cache shard). typ is
+// time with dynamic labels (e.g. one sample per cluster member state). typ is
 // "counter" or "gauge".
 func (r *Registry) Collect(name, help, typ string, collect func(emit func(labels string, v float64))) {
 	r.mu.Lock()
