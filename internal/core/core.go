@@ -101,15 +101,16 @@ func SynthesizeCtx(ctx context.Context, f truthtab.TT, tech Technology, opts Opt
 	if err := ctx.Err(); err != nil {
 		return nil, apierr.Canceled(err)
 	}
-	fc, dc, _ := latsynth.Covers(f, opts.Synth)
 	switch tech {
 	case Diode:
+		fc, dc, _ := latsynth.Covers(f, opts.Synth)
 		a := xbar2t.NewDiodeArray(fc)
 		return &Implementation{
 			Tech: Diode, Rows: a.Rows(), Cols: a.Cols(),
 			Method: "formula", FCover: fc, DualCover: dc, DiodeA: a,
 		}, nil
 	case FET:
+		fc, dc, _ := latsynth.Covers(f, opts.Synth)
 		a := xbar2t.NewFETArray(fc, dc)
 		s := xbar2t.FormulaSizes(fc, dc)
 		return &Implementation{
@@ -117,6 +118,7 @@ func SynthesizeCtx(ctx context.Context, f truthtab.TT, tech Technology, opts Opt
 			Method: "formula", FCover: fc, DualCover: dc, FETA: a,
 		}, nil
 	case FourTerminal:
+		// DualMethod computes the covers itself and returns them.
 		best, err := latsynth.DualMethod(f, opts.Synth)
 		if err != nil {
 			return nil, apierr.Infeasible("core: dual method: %v", err)

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"nanoxbar/internal/xrand"
 )
 
 // laneTestParams are the draw distributions the lane/scalar equivalence
@@ -111,16 +113,18 @@ func TestLanePlanesReset(t *testing.T) {
 func BenchmarkDrawLaneGroup64(b *testing.B) {
 	// One full 64-die lane group of 64×64 dies at the yield sweep's 2%
 	// density: the draw half of the lane yield engine's per-group cost.
+	// Each lane is seeded the way the yield runner seeds it, through an
+	// O(1) SplitMix reseed behind one rand.Rand, so the benchmark
+	// measures the draw rather than math/rand's table initialization.
 	p := UniformCrosspoint(0.02)
 	lp := NewLanePlanes(64, 64)
-	src := rand.NewSource(42)
-	rng := rand.New(src)
+	src, rng := xrand.New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lp.Reset()
 		for lane := 0; lane < 64; lane++ {
-			src.Seed(int64(i*64 + lane))
+			src.Seed(xrand.SubSeed(42, i*64+lane))
 			lp.DrawLane(lane, p, rng)
 		}
 	}

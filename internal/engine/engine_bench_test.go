@@ -9,6 +9,7 @@ import (
 	"nanoxbar/internal/bism"
 	"nanoxbar/internal/core"
 	"nanoxbar/internal/defect"
+	"nanoxbar/internal/truthtab"
 	"nanoxbar/internal/xrand"
 )
 
@@ -23,6 +24,36 @@ func BenchmarkSynthesizeUncached(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Synthesize(spec.F, core.FourTerminal, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSynthesizeUncachedMix runs the shape of cold synthesis that
+// serving sees most: distinct random functions, one 5-input to three
+// 6-input, each with a support small enough for the P-circuit search
+// (9sym above is past its cut-off of 8 and never reaches it). One op is
+// one synthesis; the 256 functions are fixed by the seed.
+func BenchmarkSynthesizeUncachedMix(b *testing.B) {
+	src, _ := xrand.New()
+	src.Seed(11)
+	fs := make([]truthtab.TT, 256)
+	for i := range fs {
+		n, w := 6, src.Uint64()
+		if i%4 == 0 {
+			n, w = 5, w&(1<<32-1)
+		}
+		f, err := truthtab.FromWords(n, []uint64{w})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fs[i] = f
+	}
+	opts := core.DefaultOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Synthesize(fs[i%len(fs)], core.FourTerminal, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,6 +15,7 @@ package latsynth
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nanoxbar/internal/cube"
 	"nanoxbar/internal/isop"
@@ -133,7 +134,9 @@ func BuildDualGrid(fc, dc cube.Cover, choice CellChoice) (*lattice.Lattice, erro
 	}
 	rows, cols := len(dc), len(fc)
 	common := make([]cube.Cube, rows*cols)
-	freq := make(map[cube.Lit]int)
+	// Literal frequencies over every cell's candidate set, indexed by
+	// variable: one table per polarity.
+	var posFreq, negFreq [64]int
 	for i, q := range dc {
 		for j, p := range fc {
 			sh := q.CommonLiterals(p)
@@ -141,27 +144,38 @@ func BuildDualGrid(fc, dc cube.Cover, choice CellChoice) (*lattice.Lattice, erro
 				return nil, fmt.Errorf("latsynth: products %v and %v share no literal", p, q)
 			}
 			common[i*cols+j] = sh
-			for _, lit := range sh.Literals() {
-				freq[lit]++
+			for m := sh.Pos; m != 0; m &= m - 1 {
+				posFreq[bits.TrailingZeros64(m)]++
+			}
+			for m := sh.Neg; m != 0; m &= m - 1 {
+				negFreq[bits.TrailingZeros64(m)]++
 			}
 		}
 	}
 	l := lattice.New(rows, cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			cands := common[i*cols+j].Literals()
-			pick := cands[0]
-			if choice == MostFrequent {
-				for _, cand := range cands[1:] {
-					if freq[cand] > freq[pick] {
-						pick = cand
-					}
-				}
-			}
-			l.Set(i, j, lattice.Lit(pick.Var, pick.Neg))
-		}
+	for k, sh := range common {
+		v, neg := pickLiteral(sh, choice, &posFreq, &negFreq)
+		l.Set(k/cols, k%cols, lattice.Lit(v, neg))
 	}
 	return l, nil
+}
+
+// pickLiteral chooses a cell's literal among its shared literals sh,
+// taken in ascending variable order with the positive literal first.
+// FirstCommon keeps the first; MostFrequent moves on only to a strictly
+// more frequent one.
+func pickLiteral(sh cube.Cube, choice CellChoice, posFreq, negFreq *[64]int) (v int, neg bool) {
+	best := -1
+	for m := sh.Pos | sh.Neg; m != 0; m &= m - 1 {
+		u := bits.TrailingZeros64(m)
+		if sh.Pos>>uint(u)&1 == 1 && (best < 0 || choice == MostFrequent && posFreq[u] > best) {
+			v, neg, best = u, false, posFreq[u]
+		}
+		if sh.Neg>>uint(u)&1 == 1 && (best < 0 || choice == MostFrequent && negFreq[u] > best) {
+			v, neg, best = u, true, negFreq[u]
+		}
+	}
+	return v, neg
 }
 
 // PostReduce repeatedly deletes any single row or column whose removal
@@ -170,17 +184,28 @@ func BuildDualGrid(fc, dc cube.Cover, choice CellChoice) (*lattice.Lattice, erro
 // area optimization. Each deletion trial re-verifies the function
 // through one shared bit-parallel evaluator, which exits on the first
 // mismatching 64-assignment word — the common case, since most
-// deletions break the function.
+// deletions break the function. Trials are built into one scratch
+// lattice that trades places with the current one on acceptance; l
+// itself is never modified, and is returned when nothing can go.
 func PostReduce(l *lattice.Lattice, f truthtab.TT) *lattice.Lattice {
 	ev := lattice.NewEvaluator()
-	cur := l
+	cur, cand := l, new(lattice.Lattice)
+	accept := func() {
+		prev := cur
+		cur = cand
+		if prev == l {
+			cand = new(lattice.Lattice)
+		} else {
+			cand = prev
+		}
+	}
 	for {
 		improved := false
 		if cur.R > 1 {
 			for i := 0; i < cur.R; i++ {
-				cand := deleteRow(cur, i)
+				cand.DeleteRowFrom(cur, i)
 				if ev.Implements(cand, f) {
-					cur = cand
+					accept()
 					improved = true
 					break
 				}
@@ -188,9 +213,9 @@ func PostReduce(l *lattice.Lattice, f truthtab.TT) *lattice.Lattice {
 		}
 		if !improved && cur.C > 1 {
 			for j := 0; j < cur.C; j++ {
-				cand := deleteCol(cur, j)
+				cand.DeleteColFrom(cur, j)
 				if ev.Implements(cand, f) {
-					cur = cand
+					accept()
 					improved = true
 					break
 				}
@@ -200,34 +225,6 @@ func PostReduce(l *lattice.Lattice, f truthtab.TT) *lattice.Lattice {
 			return cur
 		}
 	}
-}
-
-func deleteRow(l *lattice.Lattice, row int) *lattice.Lattice {
-	out := lattice.New(l.R-1, l.C)
-	for i, oi := 0, 0; i < l.R; i++ {
-		if i == row {
-			continue
-		}
-		for j := 0; j < l.C; j++ {
-			out.Set(oi, j, l.At(i, j))
-		}
-		oi++
-	}
-	return out
-}
-
-func deleteCol(l *lattice.Lattice, col int) *lattice.Lattice {
-	out := lattice.New(l.R, l.C-1)
-	for i := 0; i < l.R; i++ {
-		for j, oj := 0, 0; j < l.C; j++ {
-			if j == col {
-				continue
-			}
-			out.Set(i, oj, l.At(i, j))
-			oj++
-		}
-	}
-	return out
 }
 
 // SOPBaseline builds the naive composition lattice: the OR of one

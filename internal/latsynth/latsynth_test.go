@@ -181,6 +181,38 @@ func TestPostReduceNeverBreaks(t *testing.T) {
 	}
 }
 
+func TestPostReduceLeavesInputIntact(t *testing.T) {
+	// PostReduce builds its trials in a scratch lattice; the lattice it
+	// is given must come back untouched even when rows and columns go.
+	rng := rand.New(rand.NewSource(9))
+	reduced := 0
+	for i := 0; i < 60; i++ {
+		f := randTT(2+rng.Intn(3), rng)
+		if f.IsZero() || f.IsOne() {
+			continue
+		}
+		fc, dc, _ := Covers(f, DefaultOptions())
+		l, err := BuildDualGrid(fc, dc, MostFrequent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := l.String()
+		out := PostReduce(l, f)
+		if l.String() != before {
+			t.Fatalf("PostReduce modified its input for %v:\nbefore\n%s\nafter\n%s", f, before, l)
+		}
+		if !out.Implements(f) {
+			t.Fatalf("post-reduced lattice wrong for %v", f)
+		}
+		if out.Area() < l.Area() {
+			reduced++
+		}
+	}
+	if reduced == 0 {
+		t.Fatal("no sample was reduced: the test does not exercise accepted deletions")
+	}
+}
+
 func TestPostReduceShrinksOrKeeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	base := DefaultOptions()

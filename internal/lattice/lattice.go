@@ -103,6 +103,39 @@ func (l *Lattice) Clone() *Lattice {
 	return c
 }
 
+// DeleteRowFrom makes l a copy of src without row, reusing l's storage,
+// so a caller can try many deletions through one scratch lattice. l
+// must not be src, and src must have at least two rows.
+func (l *Lattice) DeleteRowFrom(src *Lattice, row int) {
+	l.reshape(src.R-1, src.C)
+	k := copy(l.sites, src.sites[:row*src.C])
+	copy(l.sites[k:], src.sites[(row+1)*src.C:])
+}
+
+// DeleteColFrom makes l a copy of src without col, reusing l's storage.
+// l must not be src, and src must have at least two columns.
+func (l *Lattice) DeleteColFrom(src *Lattice, col int) {
+	l.reshape(src.R, src.C-1)
+	for i := 0; i < src.R; i++ {
+		row := src.sites[i*src.C : (i+1)*src.C]
+		k := copy(l.sites[i*l.C:], row[:col])
+		copy(l.sites[i*l.C+k:], row[col+1:])
+	}
+}
+
+// reshape sets l's shape to r×c, growing its site storage only when it
+// is too small. Site contents are left for the caller to overwrite.
+func (l *Lattice) reshape(r, c int) {
+	if r < 1 || c < 1 {
+		panic(fmt.Sprintf("lattice: invalid shape %d×%d", r, c))
+	}
+	l.R, l.C = r, c
+	if cap(l.sites) < r*c {
+		l.sites = make([]Site, r*c)
+	}
+	l.sites = l.sites[:r*c]
+}
+
 // Eval computes the top-to-bottom function at assignment a using BFS
 // over 4-connected conducting sites.
 func (l *Lattice) Eval(a uint64) bool {

@@ -314,3 +314,53 @@ func TestNewPanics(t *testing.T) {
 	}()
 	New(0, 3)
 }
+
+func TestDeleteRowColFrom(t *testing.T) {
+	// Site (r, c) of src holds variable 4r+c, so every copied site
+	// names where it came from.
+	src := New(3, 4)
+	for r := 0; r < 3; r++ {
+		for c := 0; c < 4; c++ {
+			src.Set(r, c, Lit(4*r+c, false))
+		}
+	}
+	before := src.String()
+	var scratch Lattice // one receiver reused across shrinking and growing shapes
+	for row := 0; row < 3; row++ {
+		scratch.DeleteRowFrom(src, row)
+		if scratch.R != 2 || scratch.C != 4 || len(scratch.sites) != 8 {
+			t.Fatalf("row %d: shape %d×%d with %d sites", row, scratch.R, scratch.C, len(scratch.sites))
+		}
+		for r := 0; r < 2; r++ {
+			sr := r
+			if r >= row {
+				sr++
+			}
+			for c := 0; c < 4; c++ {
+				if got := scratch.At(r, c).Var; got != 4*sr+c {
+					t.Fatalf("without row %d: site (%d,%d) = x%d, want x%d", row, r, c, got+1, 4*sr+c+1)
+				}
+			}
+		}
+	}
+	for col := 0; col < 4; col++ {
+		scratch.DeleteColFrom(src, col)
+		if scratch.R != 3 || scratch.C != 3 || len(scratch.sites) != 9 {
+			t.Fatalf("col %d: shape %d×%d with %d sites", col, scratch.R, scratch.C, len(scratch.sites))
+		}
+		for r := 0; r < 3; r++ {
+			for c := 0; c < 3; c++ {
+				sc := c
+				if c >= col {
+					sc++
+				}
+				if got := scratch.At(r, c).Var; got != 4*r+sc {
+					t.Fatalf("without col %d: site (%d,%d) = x%d, want x%d", col, r, c, got+1, 4*r+sc+1)
+				}
+			}
+		}
+	}
+	if src.String() != before {
+		t.Fatal("deleting into a scratch lattice modified the source")
+	}
+}

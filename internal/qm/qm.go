@@ -12,6 +12,7 @@
 package qm
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -42,30 +43,24 @@ func DefaultOptions() Options {
 	return Options{MaxVars: 12, MaxPrimes: 50000, MaxCoverPrimes: 96, MaxCoverWork: 2_000_000}
 }
 
-// implicant is a cube in (value, don't-care-mask) representation.
-type implicant struct {
-	val uint64 // variable values on cared positions
-	dc  uint64 // positions not in the cube
-}
-
-func (im implicant) toCube(n int) cube.Cube {
-	var c cube.Cube
-	for v := 0; v < n; v++ {
-		bit := uint64(1) << uint(v)
-		if im.dc&bit != 0 {
-			continue
-		}
-		if im.val&bit != 0 {
-			c.Pos |= bit
-		} else {
-			c.Neg |= bit
-		}
-	}
-	return c
-}
-
 // Primes returns all prime implicants of on ∪ dc (the don't-care set
-// participates in prime formation but needs no covering).
+// participates in prime formation but needs no covering), sorted by
+// (Pos, Neg).
+//
+// Generation is by universal quantification. For a set S of free
+// variables let I_S hold the assignments a whose cube — a with the
+// variables of S freed — lies inside on ∪ dc. Then I_∅ = on ∨ dc and
+// I_{S∪{v}} = I_S ∧ flip_v(I_S), where flip_v complements variable v of
+// the index. The subsets are walked depth first in ascending variable
+// order, and a subtree is pruned as soon as its table is zero, since
+// the tables only shrink as S grows. A representative a of I_S (one
+// with a & S = 0) is prime exactly when a ⊕ 2^v is outside I_S for
+// every v ∉ S, a test made a whole word at a time.
+//
+// The representatives counted over all S of one size k are exactly the
+// implicants with k free variables, which is the k-th generation of the
+// classic pairwise-merging Quine–McCluskey frontier. MaxPrimes bounds
+// that count, so it rejects the same inputs it always did.
 func Primes(on, dc truthtab.TT, opts Options) ([]cube.Cube, error) {
 	n := on.NumVars()
 	if dc.NumVars() != n {
@@ -81,115 +76,128 @@ func Primes(on, dc truthtab.TT, opts Options) ([]cube.Cube, error) {
 	if care.IsOne() {
 		return []cube.Cube{cube.Universe}, nil
 	}
-
-	// The generation loop keeps the frontier in a slice sorted by
-	// (dc mask, popcount, value): pairing partners then live in
-	// adjacent popcount runs of the same dc run, and duplicates of the
-	// next generation compact away after one sort — no per-generation
-	// maps. The cur/next backing arrays and the combined flags are
-	// swapped and reused across generations, so steady-state work
-	// allocates only when a generation outgrows every previous one.
-	cur := make([]implicant, 0, care.CountOnes())
-	care.ForEachMinterm(func(a uint64) {
-		cur = append(cur, implicant{val: a})
-	})
-	var (
-		next     []implicant
-		combined []bool
-		primes   []cube.Cube
-	)
-	for len(cur) > 0 {
-		if opts.MaxPrimes > 0 && len(cur) > opts.MaxPrimes {
-			return nil, fmt.Errorf("qm: implicant frontier %d exceeds limit %d", len(cur), opts.MaxPrimes)
-		}
-		slices.SortFunc(cur, func(a, b implicant) int {
-			if a.dc != b.dc {
-				if a.dc < b.dc {
-					return -1
-				}
-				return 1
-			}
-			if d := bits.OnesCount64(a.val) - bits.OnesCount64(b.val); d != 0 {
-				return d
-			}
-			if a.val < b.val {
-				return -1
-			}
-			if a.val > b.val {
-				return 1
-			}
-			return 0
-		})
-		if cap(combined) < len(cur) {
-			combined = make([]bool, len(cur))
-		} else {
-			combined = combined[:len(cur)]
-			clear(combined)
-		}
-		next = next[:0]
-		for gs := 0; gs < len(cur); {
-			ge := gs
-			for ge < len(cur) && cur[ge].dc == cur[gs].dc {
-				ge++
-			}
-			// Pair each popcount run with the run one higher.
-			for ls := gs; ls < ge; {
-				pc := bits.OnesCount64(cur[ls].val)
-				le := ls
-				for le < ge && bits.OnesCount64(cur[le].val) == pc {
-					le++
-				}
-				he := le
-				for he < ge && bits.OnesCount64(cur[he].val) == pc+1 {
-					he++
-				}
-				for i := ls; i < le; i++ {
-					for j := le; j < he; j++ {
-						diff := cur[i].val ^ cur[j].val
-						if bits.OnesCount64(diff) != 1 {
-							continue
-						}
-						combined[i], combined[j] = true, true
-						next = append(next, implicant{val: cur[i].val &^ diff, dc: cur[i].dc | diff})
-					}
-				}
-				ls = le
-			}
-			gs = ge
-		}
-		for i, im := range cur {
-			if !combined[i] {
-				primes = append(primes, im.toCube(n))
-			}
-		}
-		// Dedup the next generation (one merged implicant arises once
-		// per don't-care bit) by sort + compact.
-		slices.SortFunc(next, func(a, b implicant) int {
-			if a.dc != b.dc {
-				if a.dc < b.dc {
-					return -1
-				}
-				return 1
-			}
-			if a.val < b.val {
-				return -1
-			}
-			if a.val > b.val {
-				return 1
-			}
-			return 0
-		})
-		next = slices.Compact(next)
-		cur, next = next, cur
+	nw := care.NumWords()
+	g := &primeGen{
+		n:      n,
+		nw:     nw,
+		vars:   uint64(1)<<uint(n) - 1,
+		tabs:   make([]uint64, (n+2)*nw),
+		counts: make([]int, n+1),
+		max:    opts.MaxPrimes,
+	}
+	for i := 0; i < nw; i++ {
+		g.tabs[i] = care.Word(i)
+	}
+	if err := g.visit(0, 0, 0); err != nil {
+		return nil, err
 	}
 	// Deterministic order for reproducible covers.
-	sort.Slice(primes, func(i, j int) bool {
-		if primes[i].Pos != primes[j].Pos {
-			return primes[i].Pos < primes[j].Pos
+	slices.SortFunc(g.primes, func(a, b cube.Cube) int {
+		if c := cmp.Compare(a.Pos, b.Pos); c != 0 {
+			return c
 		}
-		return primes[i].Neg < primes[j].Neg
+		return cmp.Compare(a.Neg, b.Neg)
 	})
-	return primes, nil
+	return g.primes, nil
+}
+
+// laneMask[v] has bit i set when bit v of i is clear, for the six
+// variables that index bits within one 64-bit table word.
+var laneMask = [6]uint64{
+	0x5555555555555555, 0x3333333333333333, 0x0f0f0f0f0f0f0f0f,
+	0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff,
+}
+
+// primeGen is the state of one quantification walk. tabs holds one
+// table per depth of the walk (I_S at depth |S|) followed by the
+// scratch table for the flip union, nw words each.
+type primeGen struct {
+	n, nw  int
+	vars   uint64 // all n variables
+	tabs   []uint64
+	counts []int // implicants found per number of free variables
+	max    int
+	primes []cube.Cube
+}
+
+// visit collects the primes of I_free held at depth, then descends into
+// every free ∪ {v} with v ≥ next whose table is non-zero.
+func (g *primeGen) visit(depth int, free uint64, next int) error {
+	nw := g.nw
+	cur := g.tabs[depth*nw : (depth+1)*nw]
+	ext := g.tabs[(g.n+1)*nw:]
+	clear(ext)
+	rep := ^uint64(0)
+	for v := 0; v < g.n; v++ {
+		switch {
+		case free>>uint(v)&1 == 0:
+			orFlip(ext, cur, v)
+		case v < 6:
+			rep &= laneMask[v]
+		}
+	}
+	high := int(free >> 6)
+	fixed := g.vars &^ free
+	count := 0
+	for i, w := range cur {
+		if i&high != 0 {
+			continue
+		}
+		w &= rep
+		count += bits.OnesCount64(w)
+		for p := w &^ ext[i]; p != 0; p &= p - 1 {
+			a := uint64(i)<<6 | uint64(bits.TrailingZeros64(p))
+			g.primes = append(g.primes, cube.Cube{Pos: a & fixed, Neg: ^a & fixed})
+		}
+	}
+	g.counts[depth] += count
+	if g.max > 0 && g.counts[depth] > g.max {
+		return fmt.Errorf("qm: implicants with %d free variables exceed limit %d", depth, g.max)
+	}
+	child := g.tabs[(depth+1)*nw : (depth+2)*nw]
+	for v := next; v < g.n; v++ {
+		if andFlip(child, cur, v) {
+			if err := g.visit(depth+1, free|1<<uint(v), v+1); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// orFlip ors flip_v(src) into dst.
+func orFlip(dst, src []uint64, v int) {
+	if v < 6 {
+		s, m := uint(1)<<uint(v), laneMask[v]
+		for i, w := range src {
+			dst[i] |= (w&m)<<s | (w>>s)&m
+		}
+		return
+	}
+	d := 1 << uint(v-6)
+	for i := range src {
+		dst[i] |= src[i^d]
+	}
+}
+
+// andFlip stores src ∧ flip_v(src) in dst and reports whether it is
+// non-zero.
+func andFlip(dst, src []uint64, v int) bool {
+	var nz uint64
+	if v < 6 {
+		s, m := uint(1)<<uint(v), laneMask[v]
+		for i, w := range src {
+			dst[i] = w & ((w&m)<<s | (w>>s)&m)
+			nz |= dst[i]
+		}
+		return nz != 0
+	}
+	d := 1 << uint(v-6)
+	for i, w := range src {
+		dst[i] = w & src[i^d]
+		nz |= dst[i]
+	}
+	return nz != 0
 }
 
 // Minimize returns a minimum SOP cover of the incompletely specified

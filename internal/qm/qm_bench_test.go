@@ -28,6 +28,18 @@ func BenchmarkPrimes6Var(b *testing.B) {
 	}
 }
 
+// BenchmarkPrimes10Var is a dense 10-variable function: 16 table words
+// per quantification level, where the word-wide prime test pays off.
+func BenchmarkPrimes10Var(b *testing.B) {
+	f := benchFunc(10, 1)
+	z := truthtab.Zero(10)
+	for i := 0; i < b.N; i++ {
+		if _, err := Primes(f, z, DefaultOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMinimize6Var(b *testing.B) {
 	f := benchFunc(6, 2)
 	for i := 0; i < b.N; i++ {
