@@ -410,8 +410,14 @@ func (s *inprocServer) close() {
 	s.eng.Close()
 }
 
+// maxMixWeight bounds one scenario's -mix weight. The soak expands the
+// mix into a deck with one entry per unit of weight, so the bound also
+// bounds that deck (and keeps the weight total far from overflow).
+const maxMixWeight = 1000
+
 // parseMix reads "name=weight,..." into per-scenario weights; a bare
-// preset name expands to its built-in weights first.
+// preset name expands to its built-in weights first. Each scenario may
+// appear once, with a weight in [0, maxMixWeight].
 func parseMix(spec string) (map[string]int, error) {
 	if preset, ok := mixPresets[spec]; ok {
 		spec = preset
@@ -427,8 +433,8 @@ func parseMix(spec string) (map[string]int, error) {
 			return nil, fmt.Errorf("bad mix element %q (want name=weight)", part)
 		}
 		w, err := strconv.Atoi(val)
-		if err != nil || w < 0 {
-			return nil, fmt.Errorf("bad mix weight %q", part)
+		if err != nil || w < 0 || w > maxMixWeight {
+			return nil, fmt.Errorf("bad mix weight %q (want 0..%d)", part, maxMixWeight)
 		}
 		known := false
 		for _, s := range scenarioOrder {
@@ -436,6 +442,9 @@ func parseMix(spec string) (map[string]int, error) {
 		}
 		if !known {
 			return nil, fmt.Errorf("unknown scenario %q (want %s)", name, strings.Join(scenarioOrder, "|"))
+		}
+		if _, dup := mix[name]; dup {
+			return nil, fmt.Errorf("scenario %q named twice in mix", name)
 		}
 		mix[name] = w
 	}

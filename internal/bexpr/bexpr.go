@@ -216,6 +216,8 @@ func (p *parser) parseAnd() (*Expr, error) {
 	}
 }
 
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
 func isFactorStart(c byte) bool {
 	return c == 'x' || c == 'X' || c == '0' || c == '1' || c == '(' || c == '!'
 }
@@ -302,7 +304,14 @@ func (e *Expr) String() string {
 			return "(" + inner + ")'"
 		case OpAnd:
 			myPrec = 2
-			s = render(e.Left, myPrec) + render(e.Right, myPrec+1)
+			l, r := render(e.Left, myPrec), render(e.Right, myPrec+1)
+			// Juxtaposition would merge a trailing index with a leading
+			// constant ("x1" "0" → "x10"), so spell that product out.
+			if isDigit(l[len(l)-1]) && isDigit(r[0]) {
+				s = l + "*" + r
+			} else {
+				s = l + r
+			}
 		case OpXor:
 			myPrec = 1
 			s = render(e.Left, myPrec) + " ^ " + render(e.Right, myPrec+1)

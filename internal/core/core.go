@@ -165,7 +165,7 @@ func (im *Implementation) Verify(f truthtab.TT) bool {
 	case FET:
 		return im.FETA.Function(n).Equal(f)
 	case FourTerminal:
-		return im.Lattice.ImplementsFast(f)
+		return im.Lattice.Implements(f)
 	}
 	return false
 }

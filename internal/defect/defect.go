@@ -424,7 +424,7 @@ func envelopeP(p Params) float64 {
 // envelope probability, and (for clustered maps) each arrival is thinned
 // to the local site probability, so a 64×64 die at 1% density costs ~40
 // random draws instead of 4096. The draw stream differs from the
-// retained scalar reference (RandomScalar) — distributions match, exact
+// test-only scalar reference (RandomScalar) — distributions match, exact
 // maps for a given seed do not. It is, however, identical draw for draw
 // with LanePlanes.DrawLane: the same seed yields the same die through
 // either path, which is the contract the lane yield engine's demotion
@@ -455,65 +455,6 @@ func RandomInto(m *Map, p Params, rng *rand.Rand) {
 	VisitBernoulli(rng, p.PColBreak, c, func(i int) { setBit(m.colBroken, i, true) })
 	VisitBernoulli(rng, p.PRowBridge, r-1, func(i int) { setBit(m.rowBridge, i, true) })
 	VisitBernoulli(rng, p.PColBridge, c-1, func(i int) { setBit(m.colBridge, i, true) })
-}
-
-// RandomScalar is the retained scalar reference generator: one uniform
-// draw per crosspoint and per wire, exactly the pre-bitset semantics.
-// The property tests pin RandomInto's distributions against it, and the
-// benchmarks report the sparse sampler's speedup over it. Not used on
-// serving paths.
-func RandomScalar(r, c int, p Params, rng *rand.Rand) *Map {
-	m := NewMap(r, c)
-	boost := func(ri, ci int) float64 { return 1 }
-	if p.Clustered && p.ClusterCount > 0 {
-		type pt struct{ r, c int }
-		centers := make([]pt, p.ClusterCount)
-		for i := range centers {
-			centers[i] = pt{rng.Intn(r), rng.Intn(c)}
-		}
-		boost = func(ri, ci int) float64 {
-			for _, ct := range centers {
-				dr, dc := ri-ct.r, ci-ct.c
-				if dr < 0 {
-					dr = -dr
-				}
-				if dc < 0 {
-					dc = -dc
-				}
-				if dr+dc <= p.ClusterRadius {
-					return p.ClusterBoost
-				}
-			}
-			return 1
-		}
-	}
-	for ri := 0; ri < r; ri++ {
-		for ci := 0; ci < c; ci++ {
-			b := boost(ri, ci)
-			po := minF(p.PStuckOpen*b, 1)
-			pc := minF(p.PStuckClosed*b, 1)
-			u := rng.Float64()
-			switch {
-			case u < po:
-				m.Set(ri, ci, StuckOpen)
-			case u < po+pc:
-				m.Set(ri, ci, StuckClosed)
-			}
-		}
-	}
-	for ri := 0; ri < r; ri++ {
-		m.SetRowBroken(ri, rng.Float64() < p.PRowBreak)
-	}
-	for ci := 0; ci < c; ci++ {
-		m.SetColBroken(ci, rng.Float64() < p.PColBreak)
-	}
-	for ri := 0; ri+1 < r; ri++ {
-		m.SetRowBridge(ri, rng.Float64() < p.PRowBridge)
-	}
-	for ci := 0; ci+1 < c; ci++ {
-		m.SetColBridge(ci, rng.Float64() < p.PColBridge)
-	}
-	return m
 }
 
 func minF(a, b float64) float64 {

@@ -135,7 +135,7 @@ func Synthesize(f truthtab.TT, opts latsynth.Options) (*Result, error) {
 			l = latsynth.PostReduce(l, f)
 		}
 	}
-	if !l.ImplementsFast(f) {
+	if !l.Implements(f) {
 		return nil, fmt.Errorf("dreduce: composed lattice does not implement f")
 	}
 	return &Result{Lattice: l, Analysis: an}, nil

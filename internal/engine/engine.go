@@ -57,11 +57,6 @@ type Config struct {
 	// exact search, no post-reduction) instead of the defaults, trading
 	// area optimality for latency under load. 0 disables degradation.
 	DegradeAfter time.Duration
-
-	// Yield executes KindYield sweeps (default yield.LaneRunner{}, the
-	// bit-sliced 64-dies-per-word path; yield.ScalarRunner{} is the
-	// retained scalar reference).
-	Yield yield.Runner
 }
 
 // defaultMaxAttempts bounds self-mapping effort when a request does not
@@ -121,8 +116,6 @@ type Engine struct {
 	// synthesis — the cluster tier's chance to fetch the owner's cached
 	// implementation instead of recomputing it.
 	peerFill atomic.Pointer[PeerFillFunc]
-
-	yield yield.Runner
 }
 
 // PeerFillFunc resolves a cache key against a remote source. It
@@ -173,9 +166,6 @@ func New(cfg Config) *Engine {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	if cfg.Yield == nil {
-		cfg.Yield = yield.LaneRunner{}
-	}
 	e := &Engine{
 		cache:        newCache(cfg.CacheSize),
 		pool:         newPool(cfg.Workers, cfg.QueueDepth),
@@ -183,7 +173,6 @@ func New(cfg Config) *Engine {
 		maxQueueWait: cfg.MaxQueueWait,
 		degradeAfter: cfg.DegradeAfter,
 		logger:       cfg.Logger,
-		yield:        cfg.Yield,
 	}
 	e.met = newEngineMetrics(e)
 	return e
@@ -614,12 +603,12 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 		return errResult(req.Kind, apierr.Infeasible("engine: implementation %d×%d exceeds chip %d×%d", app.R, app.C, size, size))
 	}
 
-	// Hand the sweep to the configured yield runner — by default the
-	// bit-sliced lane path: 64 dies drawn per lane-word group, one BIST
-	// session per candidate mapping covering the whole group, and only
-	// the dies no candidate fits demoted to the scalar mapper. Each die
-	// is sub-seeded from req.Seed, so results are independent of worker
-	// scheduling; emit fires serialized, in die order within a group.
+	// Hand the sweep to the bit-sliced lane engine: 64 dies drawn per
+	// lane-word group, one BIST session per candidate mapping covering
+	// the whole group, and only the dies no candidate fits demoted to
+	// the scalar mapper. Each die is sub-seeded from req.Seed, so
+	// results are independent of worker scheduling; emit fires
+	// serialized, in die order within a group.
 	spec := yield.Spec{
 		App:         app,
 		Scheme:      scheme,
@@ -635,7 +624,7 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 		err error
 	}
 	outs := make([]dieOut, chips)
-	runErr := e.yield.Run(ctx, spec, func(dr yield.DieResult) {
+	runErr := yield.Run(ctx, spec, func(dr yield.DieResult) {
 		if dr.Err != nil {
 			outs[dr.Die] = dieOut{err: apierr.Internal("engine: die %d: %v", dr.Die, dr.Err)}
 			if onDie != nil {
@@ -673,7 +662,7 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 		if errors.Is(runErr, ctx.Err()) {
 			return errResult(req.Kind, apierr.Canceled(runErr))
 		}
-		return errResult(req.Kind, apierr.Internal("engine: yield runner %s: %v", e.yield.Name(), runErr))
+		return errResult(req.Kind, apierr.Internal("engine: yield sweep: %v", runErr))
 	}
 
 	yr := &YieldResult{Chips: chips}
@@ -738,8 +727,8 @@ type Stats struct {
 	DiesCheckedFast   uint64 `json:"dies_checked_fast"`
 	DiesDemotedScalar uint64 `json:"dies_demoted_scalar"`
 	// Evaluation counts process-wide lattice evaluation work — the
-	// synthesis hot path — split into the per-assignment scalar walks
-	// and the bit-parallel word-block percolations that replaced them.
+	// synthesis hot path's bit-parallel expansions, Implements checks
+	// and word-block percolations.
 	Evaluation  lattice.Counters `json:"lattice_evaluation"`
 	Fingerprint string           `json:"fingerprint"`
 }

@@ -46,7 +46,6 @@ const (
 	metricCacheLoaded          = "nanoxbar_cache_loaded_total"
 	metricCacheEntries         = "nanoxbar_cache_entries"
 	metricCacheRejected        = "nanoxbar_cache_rejected_total"
-	metricLatticeScalarEvals   = "nanoxbar_lattice_scalar_evals_total"
 	metricLatticeFastFunctions = "nanoxbar_lattice_fast_functions_total"
 	metricLatticeFastImpl      = "nanoxbar_lattice_fast_implements_total"
 	metricLatticeWordBlocks    = "nanoxbar_lattice_word_blocks_total"
@@ -158,9 +157,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 
 	// Process-wide lattice evaluation counters — the synthesis hot
 	// path's work units, already tracked by internal/lattice.
-	reg.CounterFunc(metricLatticeScalarEvals,
-		"Assignments walked by scalar lattice evaluation.",
-		func() float64 { return float64(lattice.CounterSnapshot().ScalarEvals) })
 	reg.CounterFunc(metricLatticeFastFunctions,
 		"Bit-parallel function expansions.",
 		func() float64 { return float64(lattice.CounterSnapshot().FastFunctions) })

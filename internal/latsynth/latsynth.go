@@ -112,7 +112,7 @@ func DualMethod(f truthtab.TT, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !l.ImplementsFast(f) {
+	if !l.Implements(f) {
 		// The construction is proven correct for implicant covers of f
 		// and f^D; reaching this indicates a bug upstream.
 		return nil, fmt.Errorf("latsynth: dual-method lattice does not implement f (f=%v)", f)
@@ -243,7 +243,7 @@ func SOPBaseline(f truthtab.TT, opts Options) (*Result, error) {
 		ls[i] = lattice.FromCube(c)
 	}
 	l := lattice.OrAll(ls...)
-	if !l.ImplementsFast(f) {
+	if !l.Implements(f) {
 		return nil, fmt.Errorf("latsynth: SOP baseline lattice incorrect")
 	}
 	return &Result{Lattice: l, FCover: fc, Method: "sop-or", ExactSOP: exact}, nil

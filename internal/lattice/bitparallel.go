@@ -1,14 +1,13 @@
 // Bit-parallel lattice evaluation.
 //
-// The scalar Eval walks one assignment at a time: a BFS over conducting
-// sites per assignment, 2^n BFS passes to expand a function. Every hot
-// loop in the repository — dual-method verification, PostReduce
-// deletion trials, the bounded-optimal search, the serving engine —
-// bottoms out there. The Evaluator below replaces that with truthtable
-// word parallelism: each site's conduction over 64 consecutive
-// assignments is a single uint64 "on-mask" (a literal site's mask is
-// just the variable's truthtab bit pattern), and the top-to-bottom
-// percolation becomes word-wide frontier propagation
+// Eval walks one assignment at a time, so expanding a function that way
+// costs 2^n walks. Every hot loop in the repository — dual-method
+// verification, PostReduce deletion trials, the bounded-optimal search,
+// the serving engine — expands functions, so expansions run here
+// instead, on truthtable word parallelism: each site's conduction over
+// 64 consecutive assignments is a single uint64 "on-mask" (a literal
+// site's mask is just the variable's truthtab bit pattern), and the
+// top-to-bottom percolation becomes word-wide frontier propagation
 //
 //	reach[site] |= OR(reach[neighbors]) & on[site]
 //
@@ -97,7 +96,6 @@ func dualOnMask(s Site, wi int, vm uint64) uint64 {
 // Evaluation counters, exported through CounterSnapshot for the serving
 // daemon's /stats endpoint.
 var (
-	ctrScalarEvals    atomic.Uint64
 	ctrFastFunctions  atomic.Uint64
 	ctrFastImplements atomic.Uint64
 	ctrWordBlocks     atomic.Uint64
@@ -106,7 +104,6 @@ var (
 // Counters is a point-in-time snapshot of the process-wide lattice
 // evaluation counters.
 type Counters struct {
-	ScalarEvals    uint64 `json:"scalar_evals"`     // assignments walked by scalar expansions and Evaluator.Eval/EvalDual
 	FastFunctions  uint64 `json:"fast_functions"`   // bit-parallel function expansions
 	FastImplements uint64 `json:"fast_implements"`  // bit-parallel Implements/feasibility checks
 	WordBlocks     uint64 `json:"fast_word_blocks"` // 64-assignment word blocks percolated
@@ -115,27 +112,21 @@ type Counters struct {
 // CounterSnapshot returns the current evaluation counters.
 func CounterSnapshot() Counters {
 	return Counters{
-		ScalarEvals:    ctrScalarEvals.Load(),
 		FastFunctions:  ctrFastFunctions.Load(),
 		FastImplements: ctrFastImplements.Load(),
 		WordBlocks:     ctrWordBlocks.Load(),
 	}
 }
 
-// Evaluator runs bit-parallel (and zero-alloc scalar) lattice
-// evaluations with reusable scratch. The zero value is ready to use;
-// scratch grows to the largest lattice seen and is reused across calls.
-// An Evaluator is not safe for concurrent use — give each goroutine its
-// own, or use the pooled Lattice.FunctionFast/ImplementsFast wrappers.
+// Evaluator runs bit-parallel lattice evaluations with reusable
+// scratch. The zero value is ready to use; scratch grows to the largest
+// lattice seen and is reused across calls. An Evaluator is not safe for
+// concurrent use — give each goroutine its own, or use the pooled
+// Lattice.Function/DualFunction/Implements methods.
 type Evaluator struct {
 	onw   []uint64 // per-site on-masks of the current word block
 	reach []uint64 // per-site reached-from-source masks
 	fn    []uint64 // FunctionWords result buffer
-
-	// Scalar scratch (zero-alloc Eval/EvalDual).
-	sOn      []bool
-	sVisited []bool
-	sStack   []int32
 }
 
 // NewEvaluator returns an empty evaluator.
@@ -332,13 +323,14 @@ func (e *Evaluator) FunctionWords(l *Lattice, n int) []uint64 {
 	return e.functionWords(l, n, false)
 }
 
-// Function is the bit-parallel equivalent of Lattice.Function.
+// Function computes the top-to-bottom function of l over n variables.
 func (e *Evaluator) Function(l *Lattice, n int) truthtab.TT {
 	t, _ := truthtab.FromWords(n, e.functionWords(l, n, false))
 	return t
 }
 
-// DualFunction is the bit-parallel equivalent of Lattice.DualFunction.
+// DualFunction computes the left-to-right dual reading of l over n
+// variables.
 func (e *Evaluator) DualFunction(l *Lattice, n int) truthtab.TT {
 	t, _ := truthtab.FromWords(n, e.functionWords(l, n, true))
 	return t
@@ -420,130 +412,33 @@ func (e *Evaluator) PercolateMasks(R, C int, on []uint64) uint64 {
 	return sink
 }
 
-func (e *Evaluator) growScalar(sites int) {
-	if len(e.sOn) < sites {
-		e.sOn = make([]bool, sites)
-		e.sVisited = make([]bool, sites)
-	}
-	if cap(e.sStack) < sites {
-		e.sStack = make([]int32, 0, sites)
-	}
-}
-
-// Eval is a zero-alloc scalar equivalent of Lattice.Eval backed by the
-// evaluator's scratch.
-func (e *Evaluator) Eval(l *Lattice, a uint64) bool {
-	ctrScalarEvals.Add(1)
-	e.growScalar(len(l.sites))
-	on := e.sOn[:len(l.sites)]
-	for i, s := range l.sites {
-		on[i] = s.On(a)
-	}
-	return e.percolateScalar(l.R, l.C, false)
-}
-
-// EvalDual is a zero-alloc scalar equivalent of Lattice.EvalDual.
-func (e *Evaluator) EvalDual(l *Lattice, a uint64) bool {
-	ctrScalarEvals.Add(1)
-	e.growScalar(len(l.sites))
-	on := e.sOn[:len(l.sites)]
-	for i, s := range l.sites {
-		on[i] = !s.On(^a)
-	}
-	return e.percolateScalar(l.R, l.C, true)
-}
-
-// percolateScalar runs the single-assignment DFS over e.sOn.
-func (e *Evaluator) percolateScalar(R, C int, dual bool) bool {
-	sites := R * C
-	on, visited := e.sOn[:sites], e.sVisited[:sites]
-	for i := range visited {
-		visited[i] = false
-	}
-	stack := e.sStack[:0]
-	if dual {
-		for i := 0; i < sites; i += C {
-			if on[i] {
-				stack = append(stack, int32(i))
-				visited[i] = true
-			}
-		}
-	} else {
-		for i := 0; i < C; i++ {
-			if on[i] {
-				stack = append(stack, int32(i))
-				visited[i] = true
-			}
-		}
-	}
-	for len(stack) > 0 {
-		cur := int(stack[len(stack)-1])
-		stack = stack[:len(stack)-1]
-		r, c := cur/C, cur%C
-		if dual && c == C-1 || !dual && r == R-1 {
-			e.sStack = stack[:0]
-			return true
-		}
-		lo, hi := 0, 0 // row offsets: 4-conn visits (±1,0),(0,±1); 8-conn all
-		if dual {
-			lo, hi = -1, 1
-		}
-		for dr := -1; dr <= 1; dr++ {
-			nr := r + dr
-			if nr < 0 || nr >= R {
-				continue
-			}
-			dlo, dhi := lo, hi
-			if dr == 0 {
-				dlo, dhi = -1, 1
-			} else if !dual {
-				dlo, dhi = 0, 0
-			}
-			for dc := dlo; dc <= dhi; dc++ {
-				if dr == 0 && dc == 0 {
-					continue
-				}
-				nc := c + dc
-				if nc < 0 || nc >= C {
-					continue
-				}
-				ni := nr*C + nc
-				if on[ni] && !visited[ni] {
-					visited[ni] = true
-					stack = append(stack, int32(ni))
-				}
-			}
-		}
-	}
-	e.sStack = stack[:0]
-	return false
-}
-
 // evalPool backs the pooled convenience wrappers so call sites that
 // cannot hold an Evaluator still skip per-call scratch allocation.
 var evalPool = sync.Pool{New: func() any { return NewEvaluator() }}
 
-// FunctionFast is Function via a pooled bit-parallel evaluator:
-// identical result, one frontier percolation per 64 assignments instead
-// of one BFS per assignment.
-func (l *Lattice) FunctionFast(n int) truthtab.TT {
+// Function expands the top-to-bottom function over n variables via a
+// pooled bit-parallel evaluator: one frontier percolation per 64
+// assignments.
+func (l *Lattice) Function(n int) truthtab.TT {
 	e := evalPool.Get().(*Evaluator)
 	t := e.Function(l, n)
 	evalPool.Put(e)
 	return t
 }
 
-// DualFunctionFast is DualFunction via a pooled bit-parallel evaluator.
-func (l *Lattice) DualFunctionFast(n int) truthtab.TT {
+// DualFunction expands the left-to-right dual reading over n variables
+// via a pooled bit-parallel evaluator.
+func (l *Lattice) DualFunction(n int) truthtab.TT {
 	e := evalPool.Get().(*Evaluator)
 	t := e.DualFunction(l, n)
 	evalPool.Put(e)
 	return t
 }
 
-// ImplementsFast is Implements via a pooled bit-parallel evaluator,
-// with early exit on the first mismatching word.
-func (l *Lattice) ImplementsFast(f truthtab.TT) bool {
+// Implements reports whether the lattice computes f top-to-bottom, via
+// a pooled bit-parallel evaluator with early exit on the first
+// mismatching word.
+func (l *Lattice) Implements(f truthtab.TT) bool {
 	e := evalPool.Get().(*Evaluator)
 	ok := e.Implements(l, f)
 	evalPool.Put(e)

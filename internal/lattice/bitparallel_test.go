@@ -27,83 +27,87 @@ func randomLattice(rng *rand.Rand, r, c, n int) *Lattice {
 	return l
 }
 
+// scalarFunction expands l over n variables one assignment at a time
+// through Eval (dual: EvalDual): the reference expansion the
+// bit-parallel evaluator is held to.
+func scalarFunction(l *Lattice, n int, dual bool) truthtab.TT {
+	t := truthtab.New(n)
+	for a := uint64(0); a < t.Size(); a++ {
+		if dual && l.EvalDual(a) || !dual && l.Eval(a) {
+			t.SetBit(a, true)
+		}
+	}
+	return t
+}
+
 // TestBitParallelAgreesWithScalar is the core property test: on
 // randomized lattices the bit-parallel Function/DualFunction/Implements
-// and the zero-alloc scalar Eval/EvalDual must agree with the
-// reference per-assignment BFS, across word-boundary variable counts
-// (n = 6 is one exact word, n = 7..8 multi-word, n < 6 a partial word).
+// must agree with the per-assignment scalar walk, across word-boundary
+// variable counts (n = 6 is one exact word, n = 7..8 multi-word, n < 6
+// a partial word).
 func TestBitParallelAgreesWithScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ev := NewEvaluator() // deliberately shared across sizes: scratch must reset
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(8)
 		l := randomLattice(rng, 1+rng.Intn(5), 1+rng.Intn(5), n)
-		want := l.Function(n)
-		wantD := l.DualFunction(n)
+		want := scalarFunction(l, n, false)
+		wantD := scalarFunction(l, n, true)
 
-		if got := l.FunctionFast(n); !got.Equal(want) {
-			t.Fatalf("trial %d: FunctionFast = %v, want %v for\n%v", trial, got, want, l)
+		if got := l.Function(n); !got.Equal(want) {
+			t.Fatalf("trial %d: Function = %v, want %v for\n%v", trial, got, want, l)
 		}
 		if got := ev.Function(l, n); !got.Equal(want) {
 			t.Fatalf("trial %d: Evaluator.Function = %v, want %v for\n%v", trial, got, want, l)
 		}
-		if got := l.DualFunctionFast(n); !got.Equal(wantD) {
-			t.Fatalf("trial %d: DualFunctionFast = %v, want %v for\n%v", trial, got, wantD, l)
+		if got := l.DualFunction(n); !got.Equal(wantD) {
+			t.Fatalf("trial %d: DualFunction = %v, want %v for\n%v", trial, got, wantD, l)
 		}
 		if got := ev.DualFunction(l, n); !got.Equal(wantD) {
 			t.Fatalf("trial %d: Evaluator.DualFunction = %v, want %v for\n%v", trial, got, wantD, l)
 		}
-		if !l.ImplementsFast(want) || !ev.Implements(l, want) {
-			t.Fatalf("trial %d: ImplementsFast rejects the lattice's own function\n%v", trial, l)
+		if !l.Implements(want) || !ev.Implements(l, want) {
+			t.Fatalf("trial %d: Implements rejects the lattice's own function\n%v", trial, l)
 		}
 		// Perturbing any one minterm must be detected.
 		flip := want.Clone()
 		a := rng.Uint64() & (want.Size() - 1)
 		flip.SetBit(a, !flip.Bit(a))
-		if l.ImplementsFast(flip) || ev.Implements(l, flip) {
-			t.Fatalf("trial %d: ImplementsFast accepts a perturbed function", trial)
-		}
-		for a := uint64(0); a < want.Size(); a++ {
-			if got := ev.Eval(l, a); got != want.Bit(a) {
-				t.Fatalf("trial %d: Evaluator.Eval(%d) = %v, want %v", trial, a, got, want.Bit(a))
-			}
-			if got := ev.EvalDual(l, a); got != wantD.Bit(a) {
-				t.Fatalf("trial %d: Evaluator.EvalDual(%d) = %v, want %v", trial, a, got, wantD.Bit(a))
-			}
+		if l.Implements(flip) || ev.Implements(l, flip) {
+			t.Fatalf("trial %d: Implements accepts a perturbed function", trial)
 		}
 	}
 }
 
-// TestBitParallelFixtures pins the fast path to the repository's seed
+// TestBitParallelFixtures pins the bit-parallel path to the repository's seed
 // fixtures.
 func TestBitParallelFixtures(t *testing.T) {
 	l := fig4()
 	want := fig4Function(t)
-	if !l.ImplementsFast(want) {
-		t.Fatalf("Fig.4 lattice: ImplementsFast = false; FunctionFast = %v, want %v", l.FunctionFast(6), want)
+	if !l.Implements(want) {
+		t.Fatalf("Fig.4 lattice: Implements = false; Function = %v, want %v", l.Function(6), want)
 	}
-	if !l.DualFunctionFast(6).Equal(want.Dual()) {
-		t.Fatal("Fig.4 lattice: DualFunctionFast differs from the dual of its function")
+	if !l.DualFunction(6).Equal(want.Dual()) {
+		t.Fatal("Fig.4 lattice: DualFunction differs from the dual of its function")
 	}
 
 	one := Constant(true)
-	if !one.FunctionFast(1).IsOne() || !one.DualFunctionFast(1).IsZero() {
-		t.Fatal("constant-1 lattice fast evaluation")
+	if !one.Function(1).IsOne() || !one.DualFunction(1).IsZero() {
+		t.Fatal("constant-1 lattice bit-parallel evaluation")
 	}
 	zero := Constant(false)
-	if !zero.FunctionFast(1).IsZero() || !zero.DualFunctionFast(1).IsOne() {
-		t.Fatal("constant-0 lattice fast evaluation")
+	if !zero.Function(1).IsZero() || !zero.DualFunction(1).IsOne() {
+		t.Fatal("constant-0 lattice bit-parallel evaluation")
 	}
 	x := New(1, 1)
 	x.Set(0, 0, Lit(0, false))
-	if !x.FunctionFast(1).Equal(truthtab.Var(1, 0)) || !x.DualFunctionFast(1).Equal(truthtab.Var(1, 0)) {
-		t.Fatal("single-literal lattice fast evaluation")
+	if !x.Function(1).Equal(truthtab.Var(1, 0)) || !x.DualFunction(1).Equal(truthtab.Var(1, 0)) {
+		t.Fatal("single-literal lattice bit-parallel evaluation")
 	}
 }
 
-// TestBitParallelComposition checks the fast path against the
-// Altun–Riedel composition rules, whose correctness the scalar tests
-// already establish.
+// TestBitParallelComposition checks the bit-parallel expansion of
+// Altun–Riedel compositions against the scalar walk of their operands.
 func TestBitParallelComposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 5
@@ -111,11 +115,12 @@ func TestBitParallelComposition(t *testing.T) {
 		a := randomLattice(rng, 1+rng.Intn(3), 1+rng.Intn(3), n)
 		b := randomLattice(rng, 1+rng.Intn(3), 1+rng.Intn(3), n)
 		or, and := Or(a, b), And(a, b)
-		if !or.FunctionFast(n).Equal(a.FunctionFast(n).Or(b.FunctionFast(n))) {
-			t.Fatalf("trial %d: Or composition under FunctionFast", trial)
+		fa, fb := scalarFunction(a, n, false), scalarFunction(b, n, false)
+		if !or.Function(n).Equal(fa.Or(fb)) {
+			t.Fatalf("trial %d: Or composition under Function", trial)
 		}
-		if !and.FunctionFast(n).Equal(a.FunctionFast(n).And(b.FunctionFast(n))) {
-			t.Fatalf("trial %d: And composition under FunctionFast", trial)
+		if !and.Function(n).Equal(fa.And(fb)) {
+			t.Fatalf("trial %d: And composition under Function", trial)
 		}
 	}
 }
@@ -145,7 +150,7 @@ func TestFeasiblePartial(t *testing.T) {
 	}
 }
 
-// TestEvaluatorConcurrentPools exercises the pooled wrappers from many
+// TestEvaluatorConcurrentPools exercises the pooled methods from many
 // goroutines so the race detector can see any scratch sharing.
 func TestEvaluatorConcurrentPools(t *testing.T) {
 	l := fig4()
@@ -158,12 +163,12 @@ func TestEvaluatorConcurrentPools(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 50; i++ {
 				rl := randomLattice(rng, 1+rng.Intn(4), 1+rng.Intn(4), 4)
-				if !rl.FunctionFast(4).Equal(rl.Function(4)) {
-					t.Error("concurrent FunctionFast mismatch")
+				if !rl.Function(4).Equal(scalarFunction(rl, 4, false)) {
+					t.Error("concurrent Function mismatch")
 					return
 				}
-				if !l.ImplementsFast(want) {
-					t.Error("concurrent ImplementsFast mismatch")
+				if !l.Implements(want) {
+					t.Error("concurrent Implements mismatch")
 					return
 				}
 			}
@@ -176,13 +181,11 @@ func TestEvaluatorConcurrentPools(t *testing.T) {
 func TestCounterSnapshot(t *testing.T) {
 	before := CounterSnapshot()
 	l := fig4()
-	l.FunctionFast(6)
-	l.ImplementsFast(fig4Function(t))
-	NewEvaluator().Eval(l, 0)
+	l.Function(6)
+	l.Implements(fig4Function(t))
 	after := CounterSnapshot()
 	if after.FastFunctions <= before.FastFunctions ||
 		after.FastImplements <= before.FastImplements ||
-		after.ScalarEvals <= before.ScalarEvals ||
 		after.WordBlocks <= before.WordBlocks {
 		t.Fatalf("counters did not advance: before %+v after %+v", before, after)
 	}

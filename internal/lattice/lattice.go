@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"nanoxbar/internal/cube"
-	"nanoxbar/internal/truthtab"
 )
 
 // SiteKind discriminates lattice site contents.
@@ -136,43 +135,8 @@ func (l *Lattice) reshape(r, c int) {
 	l.sites = l.sites[:r*c]
 }
 
-// Eval computes the top-to-bottom function at assignment a using BFS
-// over 4-connected conducting sites.
-func (l *Lattice) Eval(a uint64) bool {
-	on := make([]bool, len(l.sites))
-	for i, s := range l.sites {
-		on[i] = s.On(a)
-	}
-	// Seed with conducting top-row sites.
-	queue := make([]int, 0, l.C)
-	visited := make([]bool, len(l.sites))
-	for c := 0; c < l.C; c++ {
-		if on[c] {
-			queue = append(queue, c)
-			visited[c] = true
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		r, c := cur/l.C, cur%l.C
-		if r == l.R-1 {
-			return true
-		}
-		for _, d := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
-			nr, nc := r+d[0], c+d[1]
-			if nr < 0 || nr >= l.R || nc < 0 || nc >= l.C {
-				continue
-			}
-			ni := nr*l.C + nc
-			if on[ni] && !visited[ni] {
-				visited[ni] = true
-				queue = append(queue, ni)
-			}
-		}
-	}
-	return false
-}
+// Eval computes the top-to-bottom function at assignment a.
+func (l *Lattice) Eval(a uint64) bool { return l.percolate(a, false) }
 
 // EvalDual computes the left-to-right dual reading: EvalDual(a) =
 // ¬Eval(¬a) = f^D(a). By the planar (matching-lattice) duality of site
@@ -182,75 +146,62 @@ func (l *Lattice) Eval(a uint64) bool {
 // dual. For literal sites "non-conducting under ¬a" coincides with
 // "conducting under a"; Const1 sites never participate (dual of 1 is 0)
 // and Const0 sites always do.
-func (l *Lattice) EvalDual(a uint64) bool {
-	on := make([]bool, len(l.sites))
+func (l *Lattice) EvalDual(a uint64) bool { return l.percolate(a, true) }
+
+// neighbors lists the site offsets (row, column) of a walk step: the
+// first four are the 4-connected neighborhood, all eight the
+// 8-connected one.
+var neighbors = [8][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}, {-1, -1}, {-1, 1}, {1, -1}, {1, 1}}
+
+// percolate is the lattice's single-assignment walk, a DFS from the
+// source plate over open sites. Normal mode opens the sites conducting
+// under a and walks 4-connected from the top row to the bottom row;
+// dual mode opens the sites not conducting under ¬a and walks
+// 8-connected from the left column to the right column.
+func (l *Lattice) percolate(a uint64, dual bool) bool {
+	R, C := l.R, l.C
+	open := make([]bool, len(l.sites))
 	for i, s := range l.sites {
-		on[i] = !s.On(^a)
-	}
-	queue := make([]int, 0, l.R)
-	visited := make([]bool, len(l.sites))
-	for r := 0; r < l.R; r++ {
-		i := r * l.C
-		if on[i] {
-			queue = append(queue, i)
-			visited[i] = true
+		if dual {
+			open[i] = !s.On(^a)
+		} else {
+			open[i] = s.On(a)
 		}
 	}
-	for len(queue) > 0 {
-		cur := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		r, c := cur/l.C, cur%l.C
-		if c == l.C-1 {
+	steps := neighbors[:4] // 4-connected
+	if dual {
+		steps = neighbors[:] // 8-connected
+	}
+	stack := make([]int, 0, R+C)
+	visit := func(i int) {
+		if open[i] {
+			open[i] = false // mark visited by closing the site
+			stack = append(stack, i)
+		}
+	}
+	if dual {
+		for i := 0; i < len(open); i += C {
+			visit(i)
+		}
+	} else {
+		for i := 0; i < C; i++ {
+			visit(i)
+		}
+	}
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		r, c := cur/C, cur%C
+		if dual && c == C-1 || !dual && r == R-1 {
 			return true
 		}
-		for dr := -1; dr <= 1; dr++ {
-			for dc := -1; dc <= 1; dc++ {
-				if dr == 0 && dc == 0 {
-					continue
-				}
-				nr, nc := r+dr, c+dc
-				if nr < 0 || nr >= l.R || nc < 0 || nc >= l.C {
-					continue
-				}
-				ni := nr*l.C + nc
-				if on[ni] && !visited[ni] {
-					visited[ni] = true
-					queue = append(queue, ni)
-				}
+		for _, d := range steps {
+			if nr, nc := r+d[0], c+d[1]; nr >= 0 && nr < R && nc >= 0 && nc < C {
+				visit(nr*C + nc)
 			}
 		}
 	}
 	return false
-}
-
-// Function expands the top-to-bottom function over n variables.
-func (l *Lattice) Function(n int) truthtab.TT {
-	t := truthtab.New(n)
-	for a := uint64(0); a < t.Size(); a++ {
-		if l.Eval(a) {
-			t.SetBit(a, true)
-		}
-	}
-	// One batched counter update per expansion (see functionWords).
-	ctrScalarEvals.Add(t.Size())
-	return t
-}
-
-// DualFunction expands the left-to-right dual reading over n variables.
-func (l *Lattice) DualFunction(n int) truthtab.TT {
-	t := truthtab.New(n)
-	for a := uint64(0); a < t.Size(); a++ {
-		if l.EvalDual(a) {
-			t.SetBit(a, true)
-		}
-	}
-	ctrScalarEvals.Add(t.Size())
-	return t
-}
-
-// Implements reports whether the lattice computes f top-to-bottom.
-func (l *Lattice) Implements(f truthtab.TT) bool {
-	return l.Function(f.NumVars()).Equal(f)
 }
 
 // MaxVar returns one past the highest variable index used (0 if none).

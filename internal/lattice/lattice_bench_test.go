@@ -32,31 +32,12 @@ func BenchmarkEvalDual8x8(b *testing.B) {
 	}
 }
 
+// BenchmarkFunction6Var is a one-word expansion through the pooled
+// bit-parallel evaluator.
 func BenchmarkFunction6Var(b *testing.B) {
 	l := benchLattice(6, 6, 6, 3)
 	for i := 0; i < b.N; i++ {
 		l.Function(6)
-	}
-}
-
-// BenchmarkEvalFast8x8 is the zero-alloc scalar path: same BFS as
-// BenchmarkEval8x8 with the evaluator's reused scratch.
-func BenchmarkEvalFast8x8(b *testing.B) {
-	l := benchLattice(8, 8, 6, 1)
-	ev := NewEvaluator()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ev.Eval(l, uint64(i)&63)
-	}
-}
-
-// BenchmarkFunctionFast6Var is the bit-parallel counterpart of
-// BenchmarkFunction6Var: one 64-wide frontier percolation instead of 64
-// BFS passes.
-func BenchmarkFunctionFast6Var(b *testing.B) {
-	l := benchLattice(6, 6, 6, 3)
-	for i := 0; i < b.N; i++ {
-		l.FunctionFast(6)
 	}
 }
 
@@ -71,8 +52,8 @@ func BenchmarkEvaluatorWords6Var(b *testing.B) {
 	}
 }
 
-// BenchmarkFunction8Var / BenchmarkFunctionFast8Var measure a
-// multi-word (2^8 assignments = 4 words) expansion.
+// BenchmarkFunction8Var measures a multi-word (2^8 assignments = 4
+// words) expansion.
 func BenchmarkFunction8Var(b *testing.B) {
 	l := benchLattice(8, 8, 8, 6)
 	for i := 0; i < b.N; i++ {
@@ -80,24 +61,9 @@ func BenchmarkFunction8Var(b *testing.B) {
 	}
 }
 
-func BenchmarkFunctionFast8Var(b *testing.B) {
-	l := benchLattice(8, 8, 8, 6)
-	for i := 0; i < b.N; i++ {
-		l.FunctionFast(8)
-	}
-}
-
-// BenchmarkImplementsScalar6Var / BenchmarkImplementsFast6Var measure
-// the verification check PostReduce issues per deletion trial, on a
-// succeeding (worst-case: no early exit) instance.
-func BenchmarkImplementsScalar6Var(b *testing.B) {
-	l := benchLattice(6, 6, 6, 3)
-	f := l.Function(6)
-	for i := 0; i < b.N; i++ {
-		l.Implements(f)
-	}
-}
-
+// BenchmarkImplementsFast6Var measures the verification check
+// PostReduce issues per deletion trial, on a succeeding (worst-case: no
+// early exit) instance.
 func BenchmarkImplementsFast6Var(b *testing.B) {
 	l := benchLattice(6, 6, 6, 3)
 	f := l.Function(6)
@@ -108,10 +74,10 @@ func BenchmarkImplementsFast6Var(b *testing.B) {
 	}
 }
 
-func BenchmarkDualFunctionFast6Var(b *testing.B) {
+func BenchmarkDualFunction6Var(b *testing.B) {
 	l := benchLattice(6, 6, 6, 2)
 	for i := 0; i < b.N; i++ {
-		l.DualFunctionFast(6)
+		l.DualFunction(6)
 	}
 }
 

@@ -163,6 +163,9 @@ func TestDualityProperty(t *testing.T) {
 		if !l.DualFunction(n).Equal(l.Function(n).Dual()) {
 			t.Fatalf("duality violated for lattice\n%v", l)
 		}
+		if !scalarFunction(l, n, true).Equal(scalarFunction(l, n, false).Dual()) {
+			t.Fatalf("scalar walk violates duality for lattice\n%v", l)
+		}
 	}
 }
 

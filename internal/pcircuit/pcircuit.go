@@ -156,7 +156,7 @@ func Decompose(f truthtab.TT, v int, opts Options) (*Result, error) {
 	if opts.Synth.PostReduce && l.Area() <= 1200 {
 		l = latsynth.PostReduce(l, f)
 	}
-	if !l.ImplementsFast(f) {
+	if !l.Implements(f) {
 		return nil, fmt.Errorf("pcircuit: composed lattice does not implement f (v=%d mode=%v)", v, opts.Mode)
 	}
 	return &Result{Lattice: l, Var: v, Mode: opts.Mode, FEq: fEq, FNeq: fNeq, FInt: fInt}, nil

@@ -28,10 +28,10 @@
 // Because the candidates are disjoint, their failure events are
 // independent under uniform defects, so the demotion rate falls
 // geometrically with the schedule length and almost every die resolves
-// in step 2. ScalarRunner executes the identical per-die algorithm with
-// scalar checks; the property suite pins the two runners bit-for-bit
-// equal — mappings, stats, and success flags — across word boundaries
-// and degenerate defect densities.
+// in step 2. The property suite pins Run bit-for-bit — mappings, stats,
+// and success flags, across word boundaries and degenerate defect
+// densities — to a test-only scalar oracle that executes the identical
+// per-die algorithm on one scalar defect map at a time.
 package yield
 
 import (
@@ -111,15 +111,6 @@ type DieResult struct {
 	Err error
 }
 
-// Runner executes yield sweeps. Run invokes emit exactly once per die
-// (serialized, completion order across groups, die order within one
-// worker's group) and returns early with ctx.Err() when canceled —
-// dies not yet started are then never emitted.
-type Runner interface {
-	Name() string
-	Run(ctx context.Context, spec Spec, emit func(DieResult)) error
-}
-
 // maxCandidates caps the fast-path probe schedule. Eight disjoint
 // candidates drive the expected demotion rate to p_fail^8 while keeping
 // the schedule (and the BIST-call count of the unluckiest fast die)
@@ -165,16 +156,13 @@ func fastStats(k int) bism.Stats {
 	return bism.Stats{Configs: k + 1, BISTCalls: k + 1, Success: true}
 }
 
-// LaneRunner is the bit-sliced production path.
-type LaneRunner struct{}
-
-// Name implements Runner.
-func (LaneRunner) Name() string { return "lane64" }
-
-// Run implements Runner: groups of 64 dies are drawn into lane planes
-// and probed per candidate as single word-kernel BIST sessions; only
-// failing lanes touch the scalar mapper.
-func (LaneRunner) Run(ctx context.Context, spec Spec, emit func(DieResult)) error {
+// Run executes a yield sweep: groups of 64 dies are drawn into lane
+// planes and probed per candidate as single word-kernel BIST sessions;
+// only failing lanes touch the scalar mapper. emit is invoked exactly
+// once per die (serialized, completion order across groups, die order
+// within one worker's group). Run returns early with ctx.Err() when
+// canceled — dies not yet started are then never emitted.
+func Run(ctx context.Context, spec Spec, emit func(DieResult)) error {
 	if err := spec.validate(); err != nil {
 		return err
 	}
@@ -288,75 +276,13 @@ func runLaneGroup(spec Spec, cands []*bism.Mapping, die0, lanes int, lp *defect.
 	}
 }
 
-// ScalarRunner is the retained reference path: the identical per-die
-// algorithm — same seeds, same candidate schedule, same demotion — with
-// every check running on one scalar defect map. The property suite
-// holds LaneRunner bit-for-bit to this.
-type ScalarRunner struct{}
+// LaneRunner is the method spelling of Run that predates it; the
+// _xbarbench harness still calls yield.LaneRunner{}.Run.
+//
+// Deprecated: call Run.
+type LaneRunner struct{}
 
-// Name implements Runner.
-func (ScalarRunner) Name() string { return "scalar" }
-
-// Run implements Runner.
-func (ScalarRunner) Run(ctx context.Context, spec Spec, emit func(DieResult)) error {
-	if err := spec.validate(); err != nil {
-		return err
-	}
-	par := spec.parallel()
-	if par > spec.Dies {
-		par = spec.Dies
-	}
-	cands := candidateMappings(spec.App, spec.ChipSize)
-	var (
-		next   atomic.Int64
-		wg     sync.WaitGroup
-		emitMu sync.Mutex
-	)
-	done := ctx.Done()
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			chip := defect.NewMap(spec.ChipSize, spec.ChipSize)
-			src, rng := xrand.New()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				die := int(next.Add(1)) - 1
-				if die >= spec.Dies {
-					return
-				}
-				dr := runScalarDie(spec, cands, die, chip, src, rng)
-				emitMu.Lock()
-				emit(dr)
-				emitMu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
-// runScalarDie executes the per-die algorithm on scalar state.
-func runScalarDie(spec Spec, cands []*bism.Mapping, die int, chip *defect.Map, src *xrand.SplitMix, rng *rand.Rand) (dr DieResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			dr = DieResult{Die: die, Err: fmt.Errorf("yield: panic mapping die %d: %v", die, r)}
-		}
-	}()
-	src.Seed(xrand.SubSeed(spec.Seed, die))
-	defect.RandomInto(chip, spec.Params, rng)
-	ch := bism.NewChip(chip)
-	for k, cand := range cands {
-		if bism.Validate(ch, spec.App, cand) {
-			return DieResult{Die: die, Mapping: cand, Stats: fastStats(k), Fast: true}
-		}
-	}
-	m, st := spec.Scheme.Map(ch, spec.App, spec.MaxAttempts, rng)
-	st.Configs += len(cands)
-	st.BISTCalls += len(cands)
-	return DieResult{Die: die, Mapping: m, Stats: st}
+// Run calls the package-level Run.
+func (LaneRunner) Run(ctx context.Context, spec Spec, emit func(DieResult)) error {
+	return Run(ctx, spec, emit)
 }

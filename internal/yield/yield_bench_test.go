@@ -35,7 +35,7 @@ func BenchmarkYieldLane64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ok := 0
-		if err := (LaneRunner{}).Run(ctx, spec, func(dr DieResult) {
+		if err := Run(ctx, spec, func(dr DieResult) {
 			if dr.Stats.Success {
 				ok++
 			}
@@ -48,7 +48,7 @@ func BenchmarkYieldLane64(b *testing.B) {
 	}
 }
 
-// BenchmarkYieldScalar64 is the retained reference path on the same
+// BenchmarkYieldScalar64 is the test-only scalar oracle on the same
 // workload — the before side of the lane speedup.
 func BenchmarkYieldScalar64(b *testing.B) {
 	spec := benchSpec(b)
@@ -57,7 +57,7 @@ func BenchmarkYieldScalar64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ok := 0
-		if err := (ScalarRunner{}).Run(ctx, spec, func(dr DieResult) {
+		if err := runScalar(ctx, spec, func(dr DieResult) {
 			if dr.Stats.Success {
 				ok++
 			}

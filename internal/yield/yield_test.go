@@ -19,34 +19,45 @@ func testApp(tb testing.TB) *bism.App {
 	return bism.RandomApp(4, 6, 0.5, rand.New(rand.NewSource(17)))
 }
 
+// runner names a sweep implementation: Run, or the scalar oracle.
+type runner struct {
+	name string
+	run  func(ctx context.Context, spec Spec, emit func(DieResult)) error
+}
+
+var (
+	laneRunner   = runner{"lane64", Run}
+	scalarRunner = runner{"scalar", runScalar}
+)
+
 // collect runs r over spec and returns results indexed by die,
 // verifying emit fires exactly once per die.
-func collect(tb testing.TB, r Runner, spec Spec) []DieResult {
+func collect(tb testing.TB, r runner, spec Spec) []DieResult {
 	tb.Helper()
 	out := make([]DieResult, spec.Dies)
 	seen := make([]bool, spec.Dies)
 	// emit runs on worker goroutines: Errorf only (Fatalf would Goexit a
 	// worker and deadlock the runner's WaitGroup).
-	err := r.Run(context.Background(), spec, func(dr DieResult) {
+	err := r.run(context.Background(), spec, func(dr DieResult) {
 		if dr.Die < 0 || dr.Die >= spec.Dies {
-			tb.Errorf("%s emitted die %d outside [0,%d)", r.Name(), dr.Die, spec.Dies)
+			tb.Errorf("%s emitted die %d outside [0,%d)", r.name, dr.Die, spec.Dies)
 			return
 		}
 		if seen[dr.Die] {
-			tb.Errorf("%s emitted die %d twice", r.Name(), dr.Die)
+			tb.Errorf("%s emitted die %d twice", r.name, dr.Die)
 		}
 		seen[dr.Die] = true
 		out[dr.Die] = dr
 	})
 	if err != nil {
-		tb.Fatalf("%s: %v", r.Name(), err)
+		tb.Fatalf("%s: %v", r.name, err)
 	}
 	if tb.Failed() {
 		tb.FailNow()
 	}
 	for die, ok := range seen {
 		if !ok {
-			tb.Fatalf("%s never emitted die %d", r.Name(), die)
+			tb.Fatalf("%s never emitted die %d", r.name, die)
 		}
 	}
 	return out
@@ -60,7 +71,7 @@ func sameMapping(a, b *bism.Mapping) bool {
 }
 
 // TestLaneMatchesScalarBitForBit is the tentpole contract: the lane
-// path equals the retained scalar reference die for die — mapping,
+// path equals the scalar oracle die for die — mapping,
 // stats, fast flag — across die counts that are not multiples of 64
 // (tail-lane masking), all-defective and zero-defect planes, every
 // mapping scheme, and both serial and parallel execution.
@@ -78,8 +89,8 @@ func TestLaneMatchesScalarBitForBit(t *testing.T) {
 						Params: defect.UniformCrosspoint(density),
 						Dies:   dies, Seed: 99, MaxAttempts: 50, Parallel: par,
 					}
-					lane := collect(t, LaneRunner{}, spec)
-					scalar := collect(t, ScalarRunner{}, spec)
+					lane := collect(t, laneRunner, spec)
+					scalar := collect(t, scalarRunner, spec)
 					for die := range lane {
 						l, s := lane[die], scalar[die]
 						if l.Err != nil || s.Err != nil {
@@ -111,8 +122,8 @@ func TestWireFaultDensitiesAgree(t *testing.T) {
 			App: app, Scheme: bism.Greedy{}, ChipSize: 70,
 			Params: p, Dies: 100, Seed: 3, MaxAttempts: 40, Parallel: 2,
 		}
-		lane := collect(t, LaneRunner{}, spec)
-		scalar := collect(t, ScalarRunner{}, spec)
+		lane := collect(t, laneRunner, spec)
+		scalar := collect(t, scalarRunner, spec)
 		for die := range lane {
 			l, s := lane[die], scalar[die]
 			if l.Fast != s.Fast || !reflect.DeepEqual(l.Stats, s.Stats) || !sameMapping(l.Mapping, s.Mapping) {
@@ -130,7 +141,7 @@ func TestZeroDefectAllFast(t *testing.T) {
 		App: app, Scheme: bism.Greedy{}, ChipSize: 48,
 		Dies: 130, Seed: 1, MaxAttempts: 10, Parallel: 3,
 	}
-	for _, dr := range collect(t, LaneRunner{}, spec) {
+	for _, dr := range collect(t, laneRunner, spec) {
 		if !dr.Fast || !dr.Stats.Success || dr.Stats.Configs != 1 || dr.Stats.BISTCalls != 1 {
 			t.Fatalf("defect-free die %d: %+v, want fast single-probe success", dr.Die, dr)
 		}
@@ -151,7 +162,7 @@ func TestFastMappingsValidate(t *testing.T) {
 	}
 	chip := defect.NewMap(48, 48)
 	src, rng := xrand.New()
-	for _, dr := range collect(t, LaneRunner{}, spec) {
+	for _, dr := range collect(t, laneRunner, spec) {
 		if dr.Stats.Success {
 			src.Seed(xrand.SubSeed(spec.Seed, dr.Die))
 			defect.RandomInto(chip, spec.Params, rng)
@@ -173,13 +184,13 @@ func TestSpecValidation(t *testing.T) {
 		{App: app, Scheme: bism.Greedy{}, ChipSize: 48, Dies: -1, MaxAttempts: 1},
 		{App: app, Scheme: bism.Greedy{}, ChipSize: 48, Dies: 1},
 	}
-	for _, r := range []Runner{LaneRunner{}, ScalarRunner{}} {
-		if err := r.Run(context.Background(), good, func(DieResult) {}); err != nil {
-			t.Fatalf("%s rejected a valid spec: %v", r.Name(), err)
+	for _, r := range []runner{laneRunner, scalarRunner} {
+		if err := r.run(context.Background(), good, func(DieResult) {}); err != nil {
+			t.Fatalf("%s rejected a valid spec: %v", r.name, err)
 		}
 		for i, spec := range bad {
-			if err := r.Run(context.Background(), spec, func(DieResult) {}); err == nil {
-				t.Fatalf("%s accepted bad spec %d", r.Name(), i)
+			if err := r.run(context.Background(), spec, func(DieResult) {}); err == nil {
+				t.Fatalf("%s accepted bad spec %d", r.name, i)
 			}
 		}
 	}
@@ -196,7 +207,7 @@ func TestCancellationStopsAtGroupBoundary(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var emitted atomic.Int64
-	err := LaneRunner{}.Run(ctx, spec, func(DieResult) {
+	err := Run(ctx, spec, func(DieResult) {
 		if emitted.Add(1) == 3 {
 			cancel()
 		}
@@ -225,19 +236,19 @@ func TestMapperPanicBecomesDieErrors(t *testing.T) {
 		Params: defect.UniformCrosspoint(1.0), // all dies demote
 		Dies:   70, Seed: 8, MaxAttempts: 5, Parallel: 2,
 	}
-	for _, r := range []Runner{LaneRunner{}, ScalarRunner{}} {
+	for _, r := range []runner{laneRunner, scalarRunner} {
 		count := 0
-		err := r.Run(context.Background(), spec, func(dr DieResult) {
+		err := r.run(context.Background(), spec, func(dr DieResult) {
 			count++
 			if dr.Err == nil {
-				t.Errorf("%s die %d: expected an error from the panicking mapper", r.Name(), dr.Die)
+				t.Errorf("%s die %d: expected an error from the panicking mapper", r.name, dr.Die)
 			}
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
 		if count != spec.Dies {
-			t.Fatalf("%s emitted %d of %d dies", r.Name(), count, spec.Dies)
+			t.Fatalf("%s emitted %d of %d dies", r.name, count, spec.Dies)
 		}
 	}
 }
