@@ -1,5 +1,5 @@
 // Package bexpr parses Boolean expressions in the paper's notation into
-// an AST that can be elaborated to truth tables or BDDs. It is the entry
+// an AST that can be elaborated to truth tables. It is the entry
 // point used by the command-line tools and examples.
 //
 // Grammar (lowest to highest precedence):
@@ -20,7 +20,6 @@ import (
 	"strconv"
 	"strings"
 
-	"nanoxbar/internal/bdd"
 	"nanoxbar/internal/truthtab"
 )
 
@@ -90,25 +89,6 @@ func (e *Expr) tt(n int) truthtab.TT {
 		return e.Left.tt(n).Or(e.Right.tt(n))
 	case OpXor:
 		return e.Left.tt(n).Xor(e.Right.tt(n))
-	}
-	panic("bexpr: unknown op")
-}
-
-// BDD elaborates the expression in a BDD manager.
-func (e *Expr) BDD(m *bdd.Manager) bdd.Ref {
-	switch e.Op {
-	case OpConst:
-		return m.Const(e.Val)
-	case OpVar:
-		return m.Var(e.Var)
-	case OpNot:
-		return m.Not(e.Left.BDD(m))
-	case OpAnd:
-		return m.And(e.Left.BDD(m), e.Right.BDD(m))
-	case OpOr:
-		return m.Or(e.Left.BDD(m), e.Right.BDD(m))
-	case OpXor:
-		return m.Xor(e.Left.BDD(m), e.Right.BDD(m))
 	}
 	panic("bexpr: unknown op")
 }

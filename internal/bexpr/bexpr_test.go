@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"nanoxbar/internal/bdd"
 	"nanoxbar/internal/truthtab"
 )
 
@@ -105,27 +104,6 @@ func TestFig4Expression(t *testing.T) {
 	}
 	if f.Bit(0) {
 		t.Fatal("constant term crept in")
-	}
-}
-
-func TestBDDElaborationMatchesTT(t *testing.T) {
-	exprs := []string{
-		"x1x2 + x1'x2'",
-		"x1 ^ x2 ^ x3",
-		"(x1 + x2)(x3 + x4')",
-		"x1x2x3 + x1x2x5x6 + x2x3x4x5 + x4x5x6",
-	}
-	for _, s := range exprs {
-		e, err := Parse(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := e.MaxVar()
-		m := bdd.New(n)
-		tt, _ := e.TT(n)
-		if !m.ToTT(e.BDD(m)).Equal(tt) {
-			t.Fatalf("BDD and TT disagree for %q", s)
-		}
 	}
 }
 

@@ -121,8 +121,8 @@ func ParsePLA(text string) (*PLA, error) {
 			fields := strings.Fields(s)
 			switch fields[0] {
 			case ".i":
-				if len(fields) != 2 {
-					return nil, fmt.Errorf("pla line %d: malformed .i", line)
+				if len(fields) != 2 || p.Inputs >= 0 {
+					return nil, fmt.Errorf("pla line %d: malformed or repeated .i", line)
 				}
 				n, err := strconv.Atoi(fields[1])
 				if err != nil || n < 1 || n > 64 {
@@ -130,11 +130,15 @@ func ParsePLA(text string) (*PLA, error) {
 				}
 				p.Inputs = n
 			case ".o":
-				if len(fields) != 2 {
-					return nil, fmt.Errorf("pla line %d: malformed .o", line)
+				if len(fields) != 2 || p.Outputs >= 0 {
+					return nil, fmt.Errorf("pla line %d: malformed or repeated .o", line)
 				}
+				// A cube row carries one character per output and the
+				// scanner caps a line at MaxScanTokenSize, so a larger
+				// count could never be used; refusing it keeps an
+				// outside header from sizing the Covers allocation.
 				m, err := strconv.Atoi(fields[1])
-				if err != nil || m < 1 {
+				if err != nil || m < 1 || m > bufio.MaxScanTokenSize {
 					return nil, fmt.Errorf("pla line %d: bad output count", line)
 				}
 				p.Outputs = m
@@ -198,25 +202,4 @@ func ParsePLA(text string) (*PLA, error) {
 		return nil, fmt.Errorf("pla: missing .i or .o")
 	}
 	return p, nil
-}
-
-// FormatPLA renders a single-output cover as an espresso-format PLA.
-func FormatPLA(cv Cover, inputs int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, ".i %d\n.o 1\n.p %d\n", inputs, len(cv))
-	for _, c := range cv {
-		for v := 0; v < inputs; v++ {
-			switch {
-			case c.Pos>>uint(v)&1 == 1:
-				sb.WriteByte('1')
-			case c.Neg>>uint(v)&1 == 1:
-				sb.WriteByte('0')
-			default:
-				sb.WriteByte('-')
-			}
-		}
-		sb.WriteString(" 1\n")
-	}
-	sb.WriteString(".e\n")
-	return sb.String()
 }

@@ -1,15 +1,14 @@
-// Server protection: the shed/drain/deadline middleware on the work
-// routes and the panic-recovery wrapper on every route. Together they
-// bound what one bad client or one load spike can do — requests beyond
-// the concurrency limit get a typed 429 with a Retry-After instead of
-// queueing unboundedly, a draining server answers 503 while in-flight
-// streams complete, and a handler panic costs one 500 (traceable by
-// request ID) instead of the process.
+// Server protection: the drain/deadline middleware on the work routes
+// and the panic-recovery wrapper on every route. Together they bound
+// what one bad client can do — a draining server answers 503 while
+// in-flight streams complete, a client deadline caps the work done on
+// its behalf, and a handler panic costs one 500 (traceable by request
+// ID) instead of the process. Load shedding happens only at the
+// engine's queue admission (typed "overloaded").
 package httpapi
 
 import (
 	"context"
-	"errors"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"nanoxbar/internal/apierr"
-	"nanoxbar/internal/resilience"
 	"nanoxbar/internal/telemetry"
 )
 
@@ -31,39 +29,11 @@ const deadlineHeader = "X-Deadline-Ms"
 // pin server resources for hours.
 const maxDeadline = 10 * time.Minute
 
-// shedRetryAfter is the Retry-After hint on 429/503 responses: long
-// enough to let a load spike pass, short enough that a well-behaved
-// retrying client recovers quickly.
-const shedRetryAfter = 1 * time.Second
-
-// Metric family names of the optional concurrency limiter.
-const (
-	metricHTTPShed            = "nanoxbar_http_shed_total"
-	metricHTTPAdmitted        = "nanoxbar_http_admitted_total"
-	metricHTTPLimitedInflight = "nanoxbar_http_limited_inflight"
-)
-
-// WithLimits bounds concurrent work requests (/v2/jobs and the cluster
-// peer routes; ops routes are exempt so health checks and metric scrapes
-// survive overload). A request that cannot get a slot within maxWait is
-// shed with a structured 429 and a Retry-After header. maxConcurrent
-// <= 0 leaves the server unlimited.
-func WithLimits(maxConcurrent int, maxWait time.Duration) Option {
-	return func(s *Server) {
-		if maxConcurrent > 0 {
-			s.limiter = resilience.NewLimiter(maxConcurrent, maxWait)
-			s.reg.CounterFunc(metricHTTPShed,
-				"Work requests rejected 429 at the concurrency limit.",
-				func() float64 { return float64(s.limiter.Shed()) })
-			s.reg.CounterFunc(metricHTTPAdmitted,
-				"Work requests admitted through the concurrency limit.",
-				func() float64 { return float64(s.limiter.Admitted()) })
-			s.reg.GaugeFunc(metricHTTPLimitedInflight,
-				"Work requests currently holding a concurrency slot.",
-				func() float64 { return float64(s.limiter.Inflight()) })
-		}
-	}
-}
+// drainRetryAfter is the Retry-After hint on drain 503s, in whole
+// seconds (the header has no sub-second form): long enough for a load
+// balancer to route elsewhere, short enough that a retrying client
+// recovers quickly.
+const drainRetryAfter = "1"
 
 // Drain puts the server into drain mode: work routes answer 503
 // (code "unavailable") while requests already in flight — including
@@ -71,28 +41,15 @@ func WithLimits(maxConcurrent int, maxWait time.Duration) Option {
 // orchestrators can watch the drain. Safe to call more than once.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// setRetryAfter stamps the Retry-After hint (whole seconds, minimum 1 —
-// the header has no sub-second form).
-func setRetryAfter(w http.ResponseWriter, d time.Duration) {
-	secs := int(d.Round(time.Second) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-}
-
-// protect wraps a work-route handler with drain rejection, deadline
-// extraction, and load shedding, in that order: a draining server
-// answers before burning a concurrency slot, and the deadline starts
-// covering the shed wait itself.
+// protect wraps a work-route handler with drain rejection and then
+// deadline extraction: a draining server answers before any work
+// starts, and the client's budget covers queue wait, synthesis and
+// streaming alike.
 func (s *Server) protect(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			s.drainRejects.Add(1)
-			setRetryAfter(w, shedRetryAfter)
+			w.Header().Set("Retry-After", drainRetryAfter)
 			v2Error(w, http.StatusServiceUnavailable, apierr.CodeUnavailable,
 				"server is draining for shutdown")
 			return
@@ -107,23 +64,6 @@ func (s *Server) protect(h http.HandlerFunc) http.HandlerFunc {
 				defer cancel()
 				r = r.WithContext(ctx)
 			}
-		}
-		if s.limiter != nil {
-			if err := s.limiter.Acquire(r.Context()); err != nil {
-				if errors.Is(err, resilience.ErrLimited) {
-					setRetryAfter(w, shedRetryAfter)
-					v2Error(w, http.StatusTooManyRequests, apierr.CodeOverloaded,
-						"concurrency limit %d saturated", s.limiter.Cap())
-					return
-				}
-				// The client gave up while waiting for a slot; it will
-				// never read the body, but 499-style accounting still
-				// wants a status.
-				v2Error(w, http.StatusServiceUnavailable, apierr.CodeCanceled,
-					"client canceled while awaiting admission")
-				return
-			}
-			defer s.limiter.Release()
 		}
 		h(w, r)
 	}

@@ -2,15 +2,12 @@ package httpapi
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"nanoxbar/internal/apierr"
 	"nanoxbar/internal/cluster"
@@ -18,8 +15,8 @@ import (
 	"nanoxbar/pkg/nanoxbar"
 )
 
-// protectedServer builds a server with a tiny concurrency limit and a
-// handle on the Server for drain control.
+// protectedServer builds a server and returns a handle on the Server
+// for drain control.
 func protectedServer(t *testing.T, opts ...Option) (*httptest.Server, *Server) {
 	t.Helper()
 	eng := engine.New(engine.Config{Workers: 2, CacheSize: 16})
@@ -29,12 +26,6 @@ func protectedServer(t *testing.T, opts ...Option) (*httptest.Server, *Server) {
 	t.Cleanup(ts.Close)
 	return ts, srv
 }
-
-// slowSweep is a jobs body big enough to hold a worker for the whole
-// test: a yield sweep of 100k dies on oversized chips. Holders run it
-// under a cancellable context so tests can release the slot
-// deterministically.
-const slowSweep = `{"requests":[{"kind":"yield","function":{"name":"maj5"},"chips":100000,"chip_size":48,"density":0.4,"seed":1}]}`
 
 // tinyJob is a jobs body that completes in microseconds.
 var tinyJob = json.RawMessage(`{"requests":[{"kind":"synthesize","function":{"tt":"2:0x6"}}]}`)
@@ -50,88 +41,11 @@ func errorCode(t *testing.T, body []byte) string {
 	return er.Error.Code
 }
 
-// startHolder posts slowSweep on its own context and returns a stop
-// function that cancels it and waits for the connection to unwind.
-func startHolder(t *testing.T, url string) (stop func()) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for ctx.Err() == nil {
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v2/jobs",
-				strings.NewReader(slowSweep))
-			if err != nil {
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				return // canceled mid-flight: the slot was held until now
-			}
-			shed := resp.StatusCode == http.StatusTooManyRequests ||
-				resp.StatusCode == http.StatusServiceUnavailable
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if !shed {
-				return
-			}
-			// A concurrent probe owned the slot (or queue) when this
-			// request arrived and it was shed; try again until it sticks.
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			cancel()
-			<-done
-		})
-	}
-}
-
-func TestShedReturns429WithRetryAfter(t *testing.T) {
-	ts, _ := protectedServer(t, WithLimits(1, 0))
-	stop := startHolder(t, ts.URL)
-	defer stop()
-
-	// Poll until the holder owns the slot and our probe sheds.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("never observed a 429")
-		}
-		resp, body := postJSON(t, ts.URL+"/v2/jobs", tinyJob)
-		if resp.StatusCode == http.StatusOK {
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		if resp.StatusCode != http.StatusTooManyRequests {
-			t.Fatalf("status = %d, want 429; body %s", resp.StatusCode, body)
-		}
-		if ra := resp.Header.Get("Retry-After"); ra == "" {
-			t.Fatal("429 without Retry-After")
-		}
-		if code := errorCode(t, body); code != apierr.CodeOverloaded {
-			t.Fatalf("shed code = %q, want %q", code, apierr.CodeOverloaded)
-		}
-		break
-	}
-	stop()
-
-	// With the holder gone the slot frees as soon as its handler
-	// unwinds; poll until requests flow again.
-	waitFor(t, "post-shed recovery", func() bool {
-		resp, _ := postJSON(t, ts.URL+"/v2/jobs", tinyJob)
-		return resp.StatusCode == http.StatusOK
-	})
-}
-
 func TestDrainRejectsWorkKeepsOps(t *testing.T) {
 	ts, srv := protectedServer(t)
 	srv.Drain()
-	if !srv.Draining() {
-		t.Fatal("Draining() = false after Drain")
+	if !srv.draining.Load() {
+		t.Fatal("draining = false after Drain")
 	}
 
 	resp, body := postJSON(t, ts.URL+"/v2/jobs", tinyJob)
@@ -228,22 +142,9 @@ func TestPanicRecoveryReturns500WithRequestID(t *testing.T) {
 	}
 }
 
-// waitFor polls cond until true or the deadline, failing the test on
-// timeout.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestErrorBodiesShareOneShape: every rejection the server writes
-// outside the event stream — peer-fill 400, panic 500, limiter 429,
-// drain 503 — decodes as a nanoxbar.ErrorResponse with its taxonomy
+// outside the event stream — peer-fill 400, panic 500, drain
+// 503 — decodes as a nanoxbar.ErrorResponse with its taxonomy
 // code.
 func TestErrorBodiesShareOneShape(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 2, CacheSize: 16})
@@ -252,7 +153,7 @@ func TestErrorBodiesShareOneShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(eng, WithLimits(1, 0), WithCluster(node))
+	srv := New(eng, WithCluster(node))
 	srv.mux.HandleFunc("/boom", srv.instrument("/boom", func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
 	}))
@@ -275,19 +176,6 @@ func TestErrorBodiesShareOneShape(t *testing.T) {
 	if status, body := get("/boom"); status != http.StatusInternalServerError || errorCode(t, body) != apierr.CodeInternal {
 		t.Fatalf("panic: %d %s, want 500 internal", status, body)
 	}
-
-	stop := startHolder(t, ts.URL)
-	waitFor(t, "a limiter shed", func() bool {
-		resp, body := postJSON(t, ts.URL+"/v2/jobs", tinyJob)
-		if resp.StatusCode != http.StatusTooManyRequests {
-			return false
-		}
-		if code := errorCode(t, body); code != apierr.CodeOverloaded {
-			t.Fatalf("limiter code = %q, want %q", code, apierr.CodeOverloaded)
-		}
-		return true
-	})
-	stop()
 
 	srv.Drain()
 	resp, body := postJSON(t, ts.URL+"/v2/jobs", tinyJob)

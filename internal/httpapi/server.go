@@ -20,7 +20,6 @@ import (
 
 	"nanoxbar/internal/cluster"
 	"nanoxbar/internal/engine"
-	"nanoxbar/internal/resilience"
 	"nanoxbar/internal/telemetry"
 )
 
@@ -41,10 +40,8 @@ type Server struct {
 	logger *slog.Logger
 	start  time.Time
 
-	// Protection state (protect.go): the optional work-route
-	// concurrency limiter, the drain flag, and the panic/drain
-	// counters.
-	limiter      *resilience.Limiter
+	// Protection state (protect.go): the drain flag and the
+	// panic/drain counters.
 	draining     atomic.Bool
 	panics       atomic.Uint64
 	drainRejects atomic.Uint64
@@ -70,9 +67,9 @@ func New(eng *engine.Engine, opts ...Option) *Server {
 		s.mux.HandleFunc(path, s.instrument(path, h))
 	}
 	// Work routes additionally pass the protection middleware
-	// (protect.go): drain rejection, deadline-header extraction, and
-	// the optional concurrency limit. Ops routes stay unprotected so
-	// health checks and metric scrapes survive overload and drain.
+	// (protect.go): drain rejection and deadline-header extraction.
+	// Ops routes stay unprotected so health checks and metric scrapes
+	// survive overload and drain.
 	handleWork := func(path string, h http.HandlerFunc) {
 		handle(path, s.protect(h))
 	}

@@ -243,22 +243,6 @@ func TestPostReduceShrinksOrKeeps(t *testing.T) {
 	}
 }
 
-func TestSOPBaseline(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	opts := DefaultOptions()
-	for i := 0; i < 60; i++ {
-		n := 1 + rng.Intn(4)
-		f := randTT(n, rng)
-		res, err := SOPBaseline(f, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Lattice.Implements(f) {
-			t.Fatalf("baseline wrong for %v", f)
-		}
-	}
-}
-
 func TestISOPFallbackForLargerN(t *testing.T) {
 	// Exact QM is limited to opts.QM.MaxVars; beyond it the dual
 	// method must silently fall back to ISOP covers and stay correct.

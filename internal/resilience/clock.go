@@ -15,14 +15,11 @@
 //   - Breaker: a per-endpoint circuit breaker (closed → open →
 //     half-open with probing) that fails fast while a dependency is
 //     down instead of burning a timeout per call.
-//   - Limiter: a concurrency limit with a bounded acquisition wait —
-//     the admission-control primitive behind HTTP load shedding.
 //   - ChaosTransport: a fault-injecting http.RoundTripper (latency
 //     spikes, dropped connections, 5xx bursts, truncated streams),
 //     seeded so a chaos soak replays exactly.
 //
-// internal/engine uses the queue-wait budget for admission control,
-// internal/httpapi mounts the limiter as shed middleware, and
+// internal/engine's queue-wait budget is the one admission control;
 // pkg/nanoxbar/client wires the retrier and breaker around every HTTP
 // call; cmd/xbarload drives the whole stack through ChaosTransport.
 package resilience

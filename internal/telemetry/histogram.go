@@ -34,11 +34,6 @@ var bucketLE = func() [numBuckets]string {
 	return les
 }()
 
-// bucketBound returns the upper bound of finite bucket i, in seconds.
-func bucketBound(i int) float64 {
-	return float64(uint64(1)<<(histMinShift+i)) / 1e9
-}
-
 // Histogram is a lock-free fixed-bucket latency histogram. Observe is
 // two atomic adds plus a bits.Len64 — no locks, no allocation — so it
 // can sit on the per-die mapping path. Obtain instances from

@@ -39,9 +39,6 @@ func (s Sizes) DiodeArea() int { return s.DiodeRows * s.DiodeCols }
 // FETArea returns rows×columns of the FET array.
 func (s Sizes) FETArea() int { return s.FETRows * s.FETCols }
 
-// LatticeArea returns rows×columns of the four-terminal lattice formula.
-func (s Sizes) LatticeArea() int { return s.LatticeRows * s.LatticeCols }
-
 // FormulaSizes evaluates the Fig. 3 and Fig. 5 formulas on SOP covers of
 // f (fc) and of its dual (dc).
 func FormulaSizes(fc, dc cube.Cover) Sizes {

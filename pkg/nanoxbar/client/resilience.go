@@ -7,6 +7,7 @@ package client
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -160,12 +161,13 @@ func setDeadlineHeader(req *http.Request) {
 // §10.2.3, which allows two shapes: delta-seconds ("3") and an
 // HTTP-date ("Fri, 08 Aug 2026 01:02:03 GMT" — also the obsolete
 // RFC 850 and asctime forms, via http.ParseTime). now anchors the date
-// form; a date at or before now, like a non-positive delta, yields no
-// hint. The hint feeds the retrier's hint-as-floor logic: it can only
-// lengthen a backoff sleep, never shorten one.
+// form; a date at or before now, like a non-positive delta or one too
+// large for a time.Duration, yields no hint. The hint feeds the
+// retrier's hint-as-floor logic: it can only lengthen a backoff sleep,
+// never shorten one.
 func retryAfterHint(value string, now time.Time) time.Duration {
-	if n, err := strconv.Atoi(value); err == nil {
-		if n <= 0 {
+	if n, err := strconv.ParseInt(value, 10, 64); err == nil {
+		if n <= 0 || n > math.MaxInt64/int64(time.Second) {
 			return 0
 		}
 		return time.Duration(n) * time.Second

@@ -1,6 +1,7 @@
 package nanoxbar
 
 import (
+	"math"
 	"time"
 
 	"nanoxbar/internal/apierr"
@@ -77,13 +78,14 @@ type WireError struct {
 
 // Err reconstructs the typed error: errors.Is against the taxonomy
 // sentinels holds on the result, and a retry-after hint round-trips
-// into resilience.RetryAfter.
+// into resilience.RetryAfter. A hint too large for a time.Duration is
+// junk and dropped.
 func (e *WireError) Err() error {
 	if e == nil {
 		return nil
 	}
 	err := apierr.FromCode(e.Code, e.Message)
-	if e.RetryAfterMs > 0 {
+	if e.RetryAfterMs > 0 && e.RetryAfterMs <= math.MaxInt64/int64(time.Millisecond) {
 		err = resilience.WithRetryAfter(err, time.Duration(e.RetryAfterMs)*time.Millisecond)
 	}
 	return err
