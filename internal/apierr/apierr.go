@@ -92,11 +92,6 @@ func Internal(format string, args ...any) error { return wrap(ErrInternal, forma
 // healthy but declined the work rather than queue it indefinitely.
 func Overloaded(format string, args ...any) error { return wrap(ErrOverloaded, format, args...) }
 
-// Unavailable classifies a service that cannot take the request at all:
-// draining for shutdown, unreachable over the network, or fenced off by
-// an open circuit breaker.
-func Unavailable(format string, args ...any) error { return wrap(ErrUnavailable, format, args...) }
-
 // Canceled classifies a context failure, keeping the original cause
 // (context.Canceled or context.DeadlineExceeded) in the detail.
 func Canceled(cause error) error {

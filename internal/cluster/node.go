@@ -9,11 +9,11 @@
 // mid-workload: every remote interaction sits behind the failover
 // ladder owner → fallback replica → local serving, so the worst case
 // of any peer dying is local synthesis (slower, never wrong, never an
-// untyped error). Membership state walks are driven exclusively by the
-// injected resilience.Clock, which is what makes the
-// alive→suspect→dead→alive ladder exactly testable with
-// resilience.Fake — the same clock discipline xbarvet already enforces
-// on the resilience package itself.
+// untyped error). The Detector's membership state walks are driven
+// exclusively by its resilience.Clock (the wall clock in a Node), which
+// is what makes the alive→suspect→dead→alive ladder exactly testable
+// with resilience.Fake — the same clock discipline xbarvet already
+// enforces on the resilience package itself.
 package cluster
 
 import (
@@ -61,44 +61,45 @@ type Config struct {
 	// matching NodeID is ignored, so all nodes can share one flag value.
 	Peers map[string]string
 
-	// ProbeInterval is the heartbeat period (default 500ms).
+	// ProbeInterval is the heartbeat period (default 500ms). A peer
+	// without a successful probe for 3 intervals is suspect, and after
+	// 6 intervals it is dead and leaves the ring.
 	ProbeInterval time.Duration
-	// SuspectAfter demotes a peer to suspect after this long without a
-	// successful probe (default 3×ProbeInterval).
-	SuspectAfter time.Duration
-	// DeadAfter removes a peer from the ring after this long without a
-	// successful probe (default 2×SuspectAfter).
-	DeadAfter time.Duration
-	// ProbeTimeout bounds one heartbeat round-trip (default 1s).
-	ProbeTimeout time.Duration
-	// FillTimeout bounds one peer cache-fill round-trip (default 2s) —
-	// a fill blocks a cold synthesis, so it must give up well before
-	// the caller's deadline and fall through to local compute.
-	FillTimeout time.Duration
-	// SnapshotTimeout bounds a warm-start snapshot transfer (default 30s).
-	SnapshotTimeout time.Duration
-
-	// Vnodes is the virtual-node count per ring member (default 64).
-	Vnodes int
-
-	// Clock drives probes, suspicion timeouts, breakers, and retries
-	// (default the wall clock; tests inject resilience.Fake).
-	Clock resilience.Clock
 	// Seed feeds the retry jitter RNG.
 	Seed int64
 	// HTTPClient performs all node-to-node requests (default a fresh
 	// client on the default transport). The cluster soak injects a
 	// seeded resilience.ChaosTransport here to model partitions.
 	HTTPClient *http.Client
-	// Breaker configures the per-peer, per-endpoint circuit breakers.
-	Breaker resilience.BreakerConfig
-	// Retry configures the peer-fill retry policy. Default: 2 attempts,
-	// 10ms base delay — fills race local synthesis, so the budget is
-	// deliberately tiny compared to the client-facing policy.
-	Retry resilience.RetryPolicy
 
 	Logger *slog.Logger
 }
+
+// Failure-detector thresholds, in probe intervals without a successful
+// heartbeat.
+const (
+	suspectProbes = 3
+	deadProbes    = 6
+)
+
+// Peer round-trip budgets. A fill blocks a cold synthesis, so it must
+// give up well before the caller's deadline and fall through to local
+// compute.
+const (
+	probeTimeout    = time.Second
+	fillTimeout     = 2 * time.Second
+	snapshotTimeout = 30 * time.Second
+)
+
+// peerRetry is the peer-fill retry policy: fills race local synthesis,
+// so the budget is deliberately tiny compared to the client-facing
+// policy. peerBreaker configures the per-peer, per-endpoint circuit
+// breakers; its zero value takes resilience's defaults (open after 5
+// consecutive failures, 1s cooldown).
+var (
+	peerRetry   = resilience.RetryPolicy{MaxAttempts: 2, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
+	peerBreaker = resilience.BreakerConfig{}
+)
 
 // peerState is one remote member plus its per-endpoint breakers. Fill
 // and forward trip independently: a peer whose cache lookups time out
@@ -131,15 +132,13 @@ type Node struct {
 	id        string
 	advertise string
 	eng       *engine.Engine
-	clock     resilience.Clock
-	logger    *slog.Logger
-	hc        *http.Client
+	// clock is always resilience.Wall(); holding it as a field keeps
+	// the clockdiscipline analyzer checking every Node method.
+	clock  resilience.Clock
+	logger *slog.Logger
+	hc     *http.Client
 
-	probeInterval   time.Duration
-	probeTimeout    time.Duration
-	fillTimeout     time.Duration
-	snapshotTimeout time.Duration
-	vnodes          int
+	probeInterval time.Duration
 
 	det     *Detector
 	peers   map[string]*peerState
@@ -169,52 +168,25 @@ func New(eng *engine.Engine, cfg Config) (*Node, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 500 * time.Millisecond
 	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 3 * cfg.ProbeInterval
-	}
-	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = 2 * cfg.SuspectAfter
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = time.Second
-	}
-	if cfg.FillTimeout <= 0 {
-		cfg.FillTimeout = 2 * time.Second
-	}
-	if cfg.SnapshotTimeout <= 0 {
-		cfg.SnapshotTimeout = 30 * time.Second
-	}
-	if cfg.Vnodes <= 0 {
-		cfg.Vnodes = defaultVnodes
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = resilience.Wall()
-	}
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = &http.Client{}
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	if cfg.Retry.MaxAttempts == 0 {
-		cfg.Retry = resilience.RetryPolicy{MaxAttempts: 2, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
-	}
+	clock := resilience.Wall()
 	n := &Node{
-		id:              cfg.NodeID,
-		advertise:       cfg.Advertise,
-		eng:             eng,
-		clock:           cfg.Clock,
-		logger:          cfg.Logger,
-		hc:              cfg.HTTPClient,
-		probeInterval:   cfg.ProbeInterval,
-		probeTimeout:    cfg.ProbeTimeout,
-		fillTimeout:     cfg.FillTimeout,
-		snapshotTimeout: cfg.SnapshotTimeout,
-		vnodes:          cfg.Vnodes,
-		peers:           make(map[string]*peerState),
-		retrier:         resilience.NewRetrier(cfg.Retry, cfg.Clock, cfg.Seed),
+		id:            cfg.NodeID,
+		advertise:     cfg.Advertise,
+		eng:           eng,
+		clock:         clock,
+		logger:        cfg.Logger,
+		hc:            cfg.HTTPClient,
+		probeInterval: cfg.ProbeInterval,
+		peers:         make(map[string]*peerState),
+		retrier:       resilience.NewRetrier(peerRetry, clock, cfg.Seed),
 	}
-	n.det = newDetector(cfg.Clock, cfg.SuspectAfter, cfg.DeadAfter, func(id string, from, to State) {
+	n.det = newDetector(clock, suspectProbes*cfg.ProbeInterval, deadProbes*cfg.ProbeInterval, func(id string, from, to State) {
 		n.logger.Info("cluster member transition", "peer", id, "from", from.String(), "to", to.String())
 	})
 	// Forwards share the node's HTTP client (and so its transport,
@@ -233,8 +205,8 @@ func New(eng *engine.Engine, cfg Config) (*Node, error) {
 			id:      id,
 			url:     url,
 			api:     client.New(url, client.WithHTTPClient(&fwd)),
-			fill:    resilience.NewBreaker(cfg.Breaker, cfg.Clock, nil),
-			forward: resilience.NewBreaker(cfg.Breaker, cfg.Clock, nil),
+			fill:    resilience.NewBreaker(peerBreaker, clock, nil),
+			forward: resilience.NewBreaker(peerBreaker, clock, nil),
 		}
 		n.det.add(id, url)
 	}
@@ -245,12 +217,6 @@ func New(eng *engine.Engine, cfg Config) (*Node, error) {
 
 // ID returns the node's member id.
 func (n *Node) ID() string { return n.id }
-
-// Engine returns the wrapped local engine.
-func (n *Node) Engine() *engine.Engine { return n.eng }
-
-// Leaving reports whether Leave has been called.
-func (n *Node) Leaving() bool { return n.leaving.Load() }
 
 // Leave de-registers the node from the ring ahead of a drain: local
 // routing stops forwarding and filling, and peers that probe the
@@ -270,7 +236,7 @@ func (n *Node) rebuildRing() {
 	if !n.leaving.Load() {
 		members = append(members, n.id)
 	}
-	ring := NewRing(members, n.vnodes)
+	ring := NewRing(members)
 	n.ringMu.Lock()
 	n.ring = ring
 	n.ringVersion = n.det.Version()
@@ -296,8 +262,8 @@ func (n *Node) refreshRing() {
 }
 
 // Run drives the heartbeat loop until ctx is done: probe every peer,
-// age the detector, refresh the ring, sleep one probe interval on the
-// injected clock. Call it in its own goroutine.
+// age the detector, refresh the ring, sleep one probe interval. Call it
+// in its own goroutine.
 func (n *Node) Run(ctx context.Context) {
 	for {
 		n.probeAll(ctx)
@@ -309,7 +275,8 @@ func (n *Node) Run(ctx context.Context) {
 	}
 }
 
-// probeAll heartbeats every peer concurrently, bounded by ProbeTimeout.
+// probeAll heartbeats every peer concurrently, each bounded by
+// probeTimeout.
 func (n *Node) probeAll(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, p := range n.peers {
@@ -332,7 +299,7 @@ type probeBody struct {
 // probe runs one heartbeat against p and feeds the outcome to the
 // detector. A peer that reports leaving is pinned dead on the spot.
 func (n *Node) probe(ctx context.Context, p *peerState) {
-	pctx, cancel := context.WithTimeout(ctx, n.probeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, p.url+"/healthz", nil)
 	if err != nil {

@@ -89,7 +89,7 @@ func startCluster(t *testing.T, ids []string, stubs map[string]http.Handler) map
 // specific member deterministically.
 func requestOwnedBy(t *testing.T, eng *engine.Engine, members []string, owner string) (engine.Request, string) {
 	t.Helper()
-	ring := cluster.NewRing(members, 0)
+	ring := cluster.NewRing(members)
 	for v := 1; v < 255; v++ {
 		req := engine.Request{Kind: engine.KindSynthesize,
 			Function: engine.FunctionSpec{TT: fmt.Sprintf("3:0x%02x", v)}}

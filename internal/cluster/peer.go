@@ -53,7 +53,7 @@ func readFill(r io.Reader, key string) (*core.Implementation, error) {
 // that peer's fill breaker and the node retry policy. nil on any miss
 // or failure.
 func (n *Node) fillFrom(ctx context.Context, p *peerState, key string) *core.Implementation {
-	fctx, cancel := context.WithTimeout(ctx, n.fillTimeout)
+	fctx, cancel := context.WithTimeout(ctx, fillTimeout)
 	defer cancel()
 	var imp *core.Implementation
 	err := n.retrier.Do(fctx, func(ctx context.Context, _ int) error {
@@ -224,7 +224,7 @@ func (n *Node) WarmStart(ctx context.Context) (entries int, from string, err err
 
 // snapshotFrom streams one peer's cache snapshot into the local cache.
 func (n *Node) snapshotFrom(ctx context.Context, p *peerState) (int, error) {
-	sctx, cancel := context.WithTimeout(ctx, n.snapshotTimeout)
+	sctx, cancel := context.WithTimeout(ctx, snapshotTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(sctx, http.MethodGet, p.url+SnapshotPath, nil)
 	if err != nil {

@@ -5,11 +5,11 @@ import (
 	"strconv"
 )
 
-// defaultVnodes is the virtual-node count per member. 64 points per
+// vnodes is the virtual-node count per member. 64 points per
 // member keeps the max/min key-share ratio under ~1.4 for small
 // clusters while a 3-node ring is still only 192 points — one binary
 // search over a slice that fits in a cache line row.
-const defaultVnodes = 64
+const vnodes = 64
 
 // ringPoint is one virtual node on the hash circle.
 type ringPoint struct {
@@ -42,13 +42,10 @@ func fnv1a(s string) uint64 {
 	return h
 }
 
-// NewRing builds a ring over members with vnodes virtual nodes each
-// (defaultVnodes when vnodes <= 0). A nil or empty member list yields
-// an empty ring whose Owner always reports false.
-func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
+// NewRing builds a ring over members with vnodes virtual nodes each.
+// A nil or empty member list yields an empty ring whose Owner always
+// reports false.
+func NewRing(members []string) *Ring {
 	distinct := make([]string, 0, len(members))
 	seen := make(map[string]bool, len(members))
 	for _, id := range members {

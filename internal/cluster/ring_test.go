@@ -16,8 +16,8 @@ func keys(n int) []string {
 // TestRingDeterministic: ownership is a pure function of the member
 // set — identical rings built in different orders agree on every key.
 func TestRingDeterministic(t *testing.T) {
-	r1 := NewRing([]string{"a", "b", "c"}, 64)
-	r2 := NewRing([]string{"c", "a", "b", "a"}, 64) // shuffled + dup
+	r1 := NewRing([]string{"a", "b", "c"})
+	r2 := NewRing([]string{"c", "a", "b", "a"}) // shuffled + dup
 	for _, k := range keys(500) {
 		o1, ok1 := r1.Owner(k)
 		o2, ok2 := r2.Owner(k)
@@ -33,7 +33,7 @@ func TestRingDeterministic(t *testing.T) {
 // TestRingEmptyAndSingleton: the degenerate shapes every caller must
 // survive — no members (no owner) and one member (it owns everything).
 func TestRingEmptyAndSingleton(t *testing.T) {
-	empty := NewRing(nil, 64)
+	empty := NewRing(nil)
 	if _, ok := empty.Owner("k"); ok {
 		t.Fatal("empty ring claimed an owner")
 	}
@@ -41,7 +41,7 @@ func TestRingEmptyAndSingleton(t *testing.T) {
 		t.Fatalf("empty ring Replicas = %v, want nil", got)
 	}
 
-	solo := NewRing([]string{"a"}, 64)
+	solo := NewRing([]string{"a"})
 	for _, k := range keys(50) {
 		if o, ok := solo.Owner(k); !ok || o != "a" {
 			t.Fatalf("singleton Owner(%q) = %q, %v", k, o, ok)
@@ -56,7 +56,7 @@ func TestRingEmptyAndSingleton(t *testing.T) {
 // wildly disproportionate share. The bound is loose (3× fair share) —
 // the point is catching a broken hash or sort, not certifying variance.
 func TestRingBalance(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c"}, 64)
+	r := NewRing([]string{"a", "b", "c"})
 	counts := map[string]int{}
 	ks := keys(3000)
 	for _, k := range ks {
@@ -78,7 +78,7 @@ func TestRingBalance(t *testing.T) {
 // members with the owner in position zero — the forwarding ladder
 // depends on both.
 func TestRingReplicasDistinctOwnerFirst(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c", "d"}, 64)
+	r := NewRing([]string{"a", "b", "c", "d"})
 	for _, k := range keys(200) {
 		owner, _ := r.Owner(k)
 		reps := r.Replicas(k, 3)
@@ -107,8 +107,8 @@ func TestRingReplicasDistinctOwnerFirst(t *testing.T) {
 // is the property that makes peer cache-fill effective across
 // membership churn.
 func TestRingMinimalDisruption(t *testing.T) {
-	full := NewRing([]string{"a", "b", "c", "d"}, 64)
-	without := NewRing([]string{"a", "b", "d"}, 64)
+	full := NewRing([]string{"a", "b", "c", "d"})
+	without := NewRing([]string{"a", "b", "d"})
 	moved, owned := 0, 0
 	for _, k := range keys(2000) {
 		before, _ := full.Owner(k)

@@ -23,9 +23,7 @@ import (
 	"nanoxbar/internal/bism"
 	"nanoxbar/internal/core"
 	"nanoxbar/internal/defect"
-	"nanoxbar/internal/latsynth"
 	"nanoxbar/internal/lattice"
-	"nanoxbar/internal/qm"
 	"nanoxbar/internal/resilience"
 	"nanoxbar/internal/telemetry"
 	"nanoxbar/internal/truthtab"
@@ -51,12 +49,6 @@ type Config struct {
 	// apierr.ErrOverloaded result instead of blocking. 0 preserves the
 	// pre-admission-control behavior of blocking indefinitely.
 	MaxQueueWait time.Duration
-	// DegradeAfter is the degradation threshold: a request that sat in
-	// the queue longer than this, and that did not pin explicit Options,
-	// runs with the fast degraded synthesis options (greedy SOP, no
-	// exact search, no post-reduction) instead of the defaults, trading
-	// area optimality for latency under load. 0 disables degradation.
-	DegradeAfter time.Duration
 }
 
 // defaultMaxAttempts bounds self-mapping effort when a request does not
@@ -85,7 +77,6 @@ type Engine struct {
 	pool         *pool
 	workers      int
 	maxQueueWait time.Duration
-	degradeAfter time.Duration
 	met          *engineMetrics
 	logger       *slog.Logger
 
@@ -94,11 +85,9 @@ type Engine struct {
 	synthCalls atomic.Uint64
 	byKind     [4]atomic.Uint64 // synthesize, compare, map, yield
 
-	// Admission-control counters: requests shed at the queue (typed
-	// apierr.ErrOverloaded, never run) and requests served with the
-	// degraded fast-path synthesis options after excessive queue wait.
-	shed         atomic.Uint64
-	degradedReqs atomic.Uint64
+	// shed counts requests refused at the queue (typed
+	// apierr.ErrOverloaded, never run).
+	shed atomic.Uint64
 
 	// Fault-path counters: dies placed through the self-mapper, random
 	// defect maps drawn, and total self-mapping configurations spent —
@@ -148,7 +137,7 @@ func (e *Engine) PeekCached(key string) (*core.Implementation, bool) {
 // hashes; it errors exactly when serving the request would produce a
 // typed bad-spec result.
 func (e *Engine) KeyFor(req Request) (string, error) {
-	f, tech, opts, _, err := e.resolve(req, false)
+	f, tech, opts, err := e.resolve(req)
 	if err != nil {
 		return "", err
 	}
@@ -171,7 +160,6 @@ func New(cfg Config) *Engine {
 		pool:         newPool(cfg.Workers, cfg.QueueDepth),
 		workers:      cfg.Workers,
 		maxQueueWait: cfg.MaxQueueWait,
-		degradeAfter: cfg.DegradeAfter,
 		logger:       cfg.Logger,
 	}
 	e.met = newEngineMetrics(e)
@@ -271,17 +259,12 @@ func (e *Engine) Submit(ctx context.Context, reqs []Request, done func(int, Resu
 		enqueued := time.Now()
 		job := func() {
 			defer wg.Done()
-			wait := time.Since(enqueued)
-			e.met.queueWait.Observe(wait)
-			// Degrade rather than queue-collapse: a request that already
-			// burned its wait budget in the queue gets the cheap
-			// synthesis path (unless it pinned explicit Options).
-			degraded := e.degradeAfter > 0 && wait > e.degradeAfter && reqs[i].Options == nil
+			e.met.queueWait.Observe(time.Since(enqueued))
 			var df DieFunc
 			if onDie != nil {
 				df = func(die int, mr *MapResult, err error) { onDie(i, die, mr, err) }
 			}
-			done(i, e.run(ctx, reqs[i], df, degraded))
+			done(i, e.run(ctx, reqs[i], df))
 		}
 		if err := e.pool.submitWait(ctx, e.maxQueueWait, job); err != nil {
 			// Never reached a worker: resolve the job here, typed by
@@ -323,14 +306,14 @@ func (e *Engine) overloadedResult(kind Kind) Result {
 }
 
 // run executes one request inline on the calling goroutine.
-func (e *Engine) run(ctx context.Context, req Request, onDie DieFunc, degraded bool) Result {
+func (e *Engine) run(ctx context.Context, req Request, onDie DieFunc) Result {
 	if err := ctx.Err(); err != nil {
 		return e.canceledResult(req.Kind, err)
 	}
 	e.requests.Add(1)
 	e.met.inflight.Inc()
 	start := time.Now()
-	res := e.dispatch(ctx, req, onDie, degraded)
+	res := e.dispatch(ctx, req, onDie)
 	elapsed := time.Since(start)
 	e.met.inflight.Dec()
 	e.met.observeRequest(req.Kind, elapsed)
@@ -363,9 +346,7 @@ func (e *Engine) logRequest(ctx context.Context, kind Kind, d time.Duration, res
 
 // dispatch routes by kind, converting panics into error results so one
 // bad request cannot take down a pool worker (and with it the daemon).
-// degraded substitutes the fast synthesis options for requests that did
-// not pin their own.
-func (e *Engine) dispatch(ctx context.Context, req Request, onDie DieFunc, degraded bool) (res Result) {
+func (e *Engine) dispatch(ctx context.Context, req Request, onDie DieFunc) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = errResult(req.Kind, apierr.Internal("engine: panic executing request: %v", r))
@@ -374,59 +355,40 @@ func (e *Engine) dispatch(ctx context.Context, req Request, onDie DieFunc, degra
 	switch req.Kind {
 	case KindSynthesize:
 		e.byKind[0].Add(1)
-		res = e.runSynthesize(ctx, req, degraded)
+		res = e.runSynthesize(ctx, req)
 	case KindCompare:
 		e.byKind[1].Add(1)
-		res = e.runCompare(ctx, req, degraded)
+		res = e.runCompare(ctx, req)
 	case KindMap:
 		e.byKind[2].Add(1)
-		res = e.runMap(ctx, req, degraded)
+		res = e.runMap(ctx, req)
 	case KindYield:
 		e.byKind[3].Add(1)
-		res = e.runYield(ctx, req, onDie, degraded)
+		res = e.runYield(ctx, req, onDie)
 	default:
 		res = errResult(req.Kind, apierr.BadSpec("engine: unknown request kind %q", req.Kind))
-	}
-	if res.Degraded {
-		e.degradedReqs.Add(1)
 	}
 	return res
 }
 
-// degradedOptions is the overload fast path: greedy SOP cell assignment
-// with no exact search, no post-reduction, and no alternative
-// p-circuit/dual-reduce probing — the cheapest correct flow the
-// synthesizer offers. The options differ from the defaults, so degraded
-// results live under their own cache key and never shadow exact ones.
-func degradedOptions() core.Options {
-	return core.Options{
-		Synth: latsynth.Options{Exact: false, QM: qm.DefaultOptions(), Cells: latsynth.MostFrequent},
-	}
-}
-
 // resolve elaborates the shared request fields: function, technology,
-// options. The returned bool reports that the degraded fast-path
-// options were substituted (only ever when req.Options is nil).
-func (e *Engine) resolve(req Request, degraded bool) (truthtab.TT, core.Technology, core.Options, bool, error) {
+// options.
+func (e *Engine) resolve(req Request) (truthtab.TT, core.Technology, core.Options, error) {
 	f, err := req.Function.Resolve()
 	if err != nil {
-		return truthtab.TT{}, 0, core.Options{}, false, err
+		return truthtab.TT{}, 0, core.Options{}, err
 	}
 	tech := core.FourTerminal
 	if req.Tech != "" {
 		if tech, err = core.ParseTechnology(req.Tech); err != nil {
-			return truthtab.TT{}, 0, core.Options{}, false, err
+			return truthtab.TT{}, 0, core.Options{}, err
 		}
 	}
 	opts := core.DefaultOptions()
-	applied := false
 	if req.Options != nil {
 		opts = *req.Options
-	} else if degraded {
-		opts = degradedOptions()
-		applied = true
 	}
-	return f, tech, opts, applied, nil
+	return f, tech, opts, nil
 }
 
 // synth runs one cached synthesis and summarizes it.
@@ -441,8 +403,8 @@ func (e *Engine) synth(ctx context.Context, f truthtab.TT, tech core.Technology,
 	}, nil
 }
 
-func (e *Engine) runSynthesize(ctx context.Context, req Request, degraded bool) Result {
-	f, tech, opts, deg, err := e.resolve(req, degraded)
+func (e *Engine) runSynthesize(ctx context.Context, req Request) Result {
+	f, tech, opts, err := e.resolve(req)
 	if err != nil {
 		return errResult(req.Kind, err)
 	}
@@ -450,11 +412,11 @@ func (e *Engine) runSynthesize(ctx context.Context, req Request, degraded bool) 
 	if err != nil {
 		return errResult(req.Kind, err)
 	}
-	return Result{Kind: req.Kind, Synthesis: &sr, Degraded: deg}
+	return Result{Kind: req.Kind, Synthesis: &sr}
 }
 
-func (e *Engine) runCompare(ctx context.Context, req Request, degraded bool) Result {
-	f, _, opts, deg, err := e.resolve(req, degraded)
+func (e *Engine) runCompare(ctx context.Context, req Request) Result {
+	f, _, opts, err := e.resolve(req)
 	if err != nil {
 		return errResult(req.Kind, err)
 	}
@@ -469,7 +431,7 @@ func (e *Engine) runCompare(ctx context.Context, req Request, degraded bool) Res
 		}
 		*tc.dst = sr
 	}
-	return Result{Kind: req.Kind, Compare: &cr, Degraded: deg}
+	return Result{Kind: req.Kind, Compare: &cr}
 }
 
 // chipSizeFor resolves and bounds the chip side for random defect
@@ -528,8 +490,8 @@ func (e *Engine) mapOnce(imp *core.Implementation, chip *defect.Map, scheme bism
 	return mr, nil
 }
 
-func (e *Engine) runMap(ctx context.Context, req Request, degraded bool) Result {
-	f, tech, opts, deg, err := e.resolve(req, degraded)
+func (e *Engine) runMap(ctx context.Context, req Request) Result {
+	f, tech, opts, err := e.resolve(req)
 	if err != nil {
 		return errResult(req.Kind, err)
 	}
@@ -564,11 +526,11 @@ func (e *Engine) runMap(ctx context.Context, req Request, degraded bool) Result 
 	if err != nil {
 		return errResult(req.Kind, err)
 	}
-	return Result{Kind: req.Kind, Map: mr, Degraded: deg}
+	return Result{Kind: req.Kind, Map: mr}
 }
 
-func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degraded bool) Result {
-	f, tech, opts, deg, err := e.resolve(req, degraded)
+func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc) Result {
+	f, tech, opts, err := e.resolve(req)
 	if err != nil {
 		return errResult(req.Kind, err)
 	}
@@ -682,7 +644,7 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 	yr.AvgConfigs = float64(configs) / float64(chips)
 	yr.AvgBIST = float64(bist) / float64(chips)
 	yr.AvgBISD = float64(bisd) / float64(chips)
-	return Result{Kind: req.Kind, Yield: yr, Degraded: deg}
+	return Result{Kind: req.Kind, Yield: yr}
 }
 
 // Stats is a point-in-time snapshot of the engine counters, shaped for
@@ -701,10 +663,13 @@ type Stats struct {
 	SynthCalls  uint64 `json:"synth_calls"` // underlying core.Synthesize invocations
 	Requests    uint64 `json:"requests"`
 	Failures    uint64 `json:"failures"`
-	// Admission-control counters: requests shed at the queue and
-	// requests served degraded; QueueDepth/QueuedJobs expose the bounded
-	// queue's size and current occupancy.
-	Shed        uint64 `json:"shed"`
+	// Admission-control counters: requests shed at the queue;
+	// QueueDepth/QueuedJobs expose the bounded queue's size and current
+	// occupancy.
+	Shed uint64 `json:"shed"`
+	// Deprecated: always 0. The engine no longer has a degraded
+	// synthesis mode; the field keeps the /stats key for readers that
+	// still decode it.
 	Degraded    uint64 `json:"requests_degraded"`
 	QueueDepth  int    `json:"queue_depth"`
 	QueuedJobs  int    `json:"queued_jobs"`
@@ -760,7 +725,6 @@ func (e *Engine) Stats() Stats {
 		Requests:            e.requests.Load(),
 		Failures:            e.failures.Load(),
 		Shed:                e.shed.Load(),
-		Degraded:            e.degradedReqs.Load(),
 		QueueDepth:          e.pool.depth(),
 		QueuedJobs:          e.pool.queued(),
 		Synthesizes:         e.byKind[0].Load(),

@@ -30,7 +30,6 @@ const (
 	metricRequestsInflight     = "nanoxbar_requests_inflight"
 	metricRequestFailures      = "nanoxbar_request_failures_total"
 	metricEngineShed           = "nanoxbar_engine_shed_total"
-	metricEngineDegraded       = "nanoxbar_engine_degraded_total"
 	metricEngineQueueDepth     = "nanoxbar_engine_queue_depth"
 	metricEngineQueuedJobs     = "nanoxbar_engine_queued_jobs"
 	metricSynthCalls           = "nanoxbar_synth_calls_total"
@@ -122,7 +121,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	}
 	counter(metricRequestFailures, "Requests that returned an error result.", e.failures.Load)
 	counter(metricEngineShed, "Requests shed at admission: the job queue stayed saturated past the wait budget.", e.shed.Load)
-	counter(metricEngineDegraded, "Requests served with the degraded fast-path synthesis options after excessive queue wait.", e.degradedReqs.Load)
 	reg.GaugeFunc(metricEngineQueueDepth, "Job queue buffer size.",
 		func() float64 { return float64(e.pool.depth()) })
 	reg.GaugeFunc(metricEngineQueuedJobs, "Jobs waiting for a worker.",

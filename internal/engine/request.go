@@ -255,12 +255,6 @@ type Result struct {
 	Map       *MapResult       `json:"map,omitempty"`
 	Yield     *YieldResult     `json:"yield,omitempty"`
 
-	// Degraded marks a result produced with the engine's fast-path
-	// synthesis options after the request overran its queue-wait budget
-	// (correct, but not area-optimal). Never set when the request
-	// pinned explicit Options.
-	Degraded bool `json:"degraded,omitempty"`
-
 	// Err is the typed failure for in-process callers. It does not
 	// travel over the wire; remote callers reconstruct it from Code via
 	// apierr.FromCode.

@@ -56,11 +56,10 @@ func (s *Server) protect(h http.HandlerFunc) http.HandlerFunc {
 		}
 		if ms := r.Header.Get(deadlineHeader); ms != "" {
 			if n, err := strconv.ParseInt(ms, 10, 64); err == nil && n > 0 {
-				d := time.Duration(n) * time.Millisecond
-				if d > maxDeadline {
-					d = maxDeadline
-				}
-				ctx, cancel := context.WithTimeout(r.Context(), d)
+				// Cap before converting: past ≈9.2e12 ms the product
+				// wraps negative and would cancel the request at once.
+				n = min(n, maxDeadline.Milliseconds())
+				ctx, cancel := context.WithTimeout(r.Context(), time.Duration(n)*time.Millisecond)
 				defer cancel()
 				r = r.WithContext(ctx)
 			}

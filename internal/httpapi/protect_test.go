@@ -74,31 +74,50 @@ func TestDrainRejectsWorkKeepsOps(t *testing.T) {
 
 func TestDeadlineHeaderBoundsRequest(t *testing.T) {
 	ts, _ := protectedServer(t)
-	// A 1ms budget cannot cover a 2000-die yield sweep: the request
-	// must come back canceled (deadline exceeded server-side), not hang.
-	body := `{"requests":[{"kind":"yield","function":{"name":"maj5"},"chips":2000,"seed":1}]}`
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/jobs", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(deadlineHeader, "1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	first := bytes.SplitN(raw, []byte("\n"), 2)[0]
-	var ev nanoxbar.Event
-	if err := json.Unmarshal(first, &ev); err != nil {
-		t.Fatalf("bad frame %s: %v", first, err)
-	}
-	if ev.Type != nanoxbar.EventError {
-		t.Fatalf("1ms-budget sweep answered %s — deadline header ignored (body %s)", ev.Type, raw)
-	}
-	if ev.Error.Code != apierr.CodeCanceled {
-		t.Fatalf("code = %q, want %q (body %s)", ev.Error.Code, apierr.CodeCanceled, raw)
+	for _, tc := range []struct {
+		name, ms, body string
+		want           string
+	}{
+		// A 1ms budget cannot cover a 2000-die yield sweep: the request
+		// must come back canceled (deadline exceeded server-side), not
+		// hang.
+		{"1ms-sweep", "1",
+			`{"requests":[{"kind":"yield","function":{"name":"maj5"},"chips":2000,"seed":1}]}`,
+			nanoxbar.EventError},
+		// Budgets past the 10-minute cap are capped, including ones
+		// whose nanosecond value overflows int64.
+		{"overflow-capped", "9300000000000",
+			`{"requests":[{"kind":"synthesize","function":{"tt":"2:0x6"}}]}`,
+			nanoxbar.EventResult},
+		{"maxint-capped", "9223372036854775807",
+			`{"requests":[{"kind":"synthesize","function":{"tt":"2:0x8"}}]}`,
+			nanoxbar.EventResult},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/jobs", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set(deadlineHeader, tc.ms)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			raw, _ := io.ReadAll(resp.Body)
+			first := bytes.SplitN(raw, []byte("\n"), 2)[0]
+			var ev nanoxbar.Event
+			if err := json.Unmarshal(first, &ev); err != nil {
+				t.Fatalf("bad frame %s: %v", first, err)
+			}
+			if ev.Type != tc.want {
+				t.Fatalf("%sms budget answered %s, want %s (body %s)", tc.ms, ev.Type, tc.want, raw)
+			}
+			if ev.Type == nanoxbar.EventError && ev.Error.Code != apierr.CodeCanceled {
+				t.Fatalf("code = %q, want %q (body %s)", ev.Error.Code, apierr.CodeCanceled, raw)
+			}
+		})
 	}
 }
 

@@ -75,9 +75,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumNs.Add(ns)
 }
 
-// Since is shorthand for Observe(time.Since(start)).
-func (h *Histogram) Since(start time.Time) { h.Observe(time.Since(start)) }
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
 	var n uint64

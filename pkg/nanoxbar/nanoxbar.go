@@ -30,8 +30,6 @@ package nanoxbar
 
 import (
 	"context"
-	"log/slog"
-	"time"
 
 	"nanoxbar/internal/engine"
 )
@@ -58,29 +56,9 @@ type API interface {
 	Close() error
 }
 
-// ClientConfig sizes the in-process engine behind a Client.
-type ClientConfig struct {
-	// Workers is the worker pool size (default: number of CPUs).
-	Workers int
-	// CacheSize bounds the synthesis LRU entry count (default 1024).
-	CacheSize int
-	// QueueDepth bounds the job queue (default 4× Workers). With
-	// MaxQueueWait set, submissions that cannot enqueue within the
-	// budget fail typed with ErrOverloaded instead of blocking.
-	QueueDepth int
-	// MaxQueueWait is the admission budget: how long a submission may
-	// wait for a queue slot before being shed. Zero blocks forever (the
-	// pre-admission-control behavior).
-	MaxQueueWait time.Duration
-	// DegradeAfter switches requests that waited longer than this in
-	// the queue to the fast degraded synthesis path (correct but not
-	// optimal; Result.Degraded is set). Zero disables degradation.
-	DegradeAfter time.Duration
-	// Logger receives the engine's per-request debug logs (kind,
-	// duration, outcome, request ID when the context carries one — see
-	// ContextWithRequestID). Nil discards.
-	Logger *slog.Logger
-}
+// ClientConfig sizes the in-process engine behind a Client: worker
+// pool, synthesis cache, job queue and admission budget, and logger.
+type ClientConfig = engine.Config
 
 // Client is the in-process implementation of API: it embeds the
 // serving engine — synthesis cache plus worker pool — directly in the
@@ -93,14 +71,7 @@ var _ API = (*Client)(nil)
 
 // NewClient starts an in-process client.
 func NewClient(cfg ClientConfig) *Client {
-	return &Client{eng: engine.New(engine.Config{
-		Workers:      cfg.Workers,
-		CacheSize:    cfg.CacheSize,
-		QueueDepth:   cfg.QueueDepth,
-		MaxQueueWait: cfg.MaxQueueWait,
-		DegradeAfter: cfg.DegradeAfter,
-		Logger:       cfg.Logger,
-	})}
+	return &Client{eng: engine.New(cfg)}
 }
 
 // Close stops the engine's worker pool after draining queued work. No
